@@ -18,11 +18,13 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"icbe/internal/analysis"
 	"icbe/internal/experiments"
 	"icbe/internal/ir"
 	"icbe/internal/progs"
+	"icbe/internal/randprog"
 	"icbe/internal/restructure"
 )
 
@@ -394,4 +396,35 @@ func BenchmarkDriverWorkers(b *testing.B) {
 			b.ReportMetric(float64(analyses), "analyses")
 		})
 	}
+}
+
+// BenchmarkOptimizeFullTierScale measures the server's default full tier
+// (Verify + Check + CheckFatal, plus the fold pass) on one scale-mix-shaped
+// randprog.Scale program, the shape where the per-apply oracles dominate a
+// request. verify-ms/op and check-ms/op split out the two oracles' share.
+func BenchmarkOptimizeFullTierScale(b *testing.B) {
+	p, err := Compile(randprog.Scale(3, randprog.ScaleConfig{
+		Leaves: 18, LeafStmts: 100, Hubs: 8, Calls: 6, Conds: 3,
+		ChainLeaves: 6, ChainLen: 5,
+	}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Verify, opts.Check, opts.CheckFatal, opts.Fold = true, true, true, true
+	var verify, check time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rep, err := p.Optimize(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Optimized == 0 {
+			b.Fatal("nothing optimized")
+		}
+		verify += rep.Stats.VerifyWall
+		check += rep.Stats.CheckWall
+	}
+	b.ReportMetric(float64(verify.Microseconds())/1e3/float64(b.N), "verify-ms/op")
+	b.ReportMetric(float64(check.Microseconds())/1e3/float64(b.N), "check-ms/op")
 }

@@ -160,11 +160,13 @@ type Options struct {
 	// worker count (the wall-clock fields of Report.Stats aside).
 	Workers int
 	// Verify enables differential shadow execution after every applied
-	// restructuring: the pre- and post-apply programs are run over
-	// VerifyInputs plus built-in input vectors, and any output difference
-	// or growth in executed operations rolls that restructuring back with
-	// a typed failure on its CondReport. Costs several interpreter runs
-	// per applied conditional (see Report.Stats.VerifyRuns).
+	// restructuring: the post-apply program is run over VerifyInputs plus
+	// built-in input vectors and compared with the pre-apply program's
+	// runs, and any output difference or growth in executed operations
+	// rolls that restructuring back with a typed failure on its
+	// CondReport. The pre-apply runs are carried over from the last
+	// adopted restructuring, so each apply costs one interpreter run per
+	// input vector (see Report.Stats.VerifyRuns).
 	Verify bool
 	// VerifyInputs supplies workload input streams for Verify.
 	VerifyInputs [][]int64
@@ -320,8 +322,9 @@ type DriverStats struct {
 	// PairsTotal mirrors Report.PairsTotal (replayed pairs count in both)
 	// so the reuse rate is computable from the stats alone.
 	PairsTotal int
-	// VerifyRuns counts shadow executions performed by the differential
-	// oracle (Options.Verify); VerifyWall is their summed wall time.
+	// VerifyRuns counts the differential oracle's per-input comparisons of
+	// a pre- and a post-apply run (Options.Verify, and every fold
+	// attempt); VerifyWall is their summed wall time.
 	VerifyRuns int
 	VerifyWall time.Duration
 	// CheckRuns counts static check-layer analyses (Options.Check) and

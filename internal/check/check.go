@@ -68,10 +68,12 @@ func (f Finding) String() string {
 }
 
 // Context carries the shared analysis state a pass runs against. The SCCP
-// result is computed once per suite run and shared by every pass.
+// result is computed once per suite run and shared by every pass, and so is
+// the procedure index the structural passes build on first use.
 type Context struct {
 	Prog *ir.Program
 	SCCP *SCCP
+	idx  *procIndex
 }
 
 // Pass is one registered lint pass. Run must be read-only on the program,

@@ -47,12 +47,11 @@ func forEachRead(n *ir.Node, f func(ir.VarID)) {
 	}
 }
 
-// assignFlow holds the per-node assigned-variable sets of one procedure:
-// a forward definite-assignment analysis (intersection over predecessors;
-// used to seed SCCP cells with the interpreter's implicit zero for
-// variables that may be read before any assignment) and a forward
-// maybe-assignment analysis (union over predecessors; a read of a variable
-// that is not even maybe-assigned is the use-before-def lint finding).
+// assignFlow holds the per-node maybe-assigned variable sets of one
+// procedure: a forward dataflow (union over predecessors) whose in-state at
+// a node holds every own variable some intraprocedural path to it assigns.
+// A read of a variable that is not even maybe-assigned is the
+// use-before-def lint finding.
 //
 // Dataflow edges are the intraprocedural ones: successor edges within the
 // procedure, excluding return edges (procedure exit → call-site exit) and
@@ -60,52 +59,25 @@ func forEachRead(n *ir.Node, f func(ir.VarID)) {
 // continuation is its call-site exit, whose only intraprocedural dataflow
 // predecessor is the call.
 type assignFlow struct {
-	p    *ir.Program
+	ix   *procIndex
 	proc int
-	// vars are the procedure's own variables in VarID order; varPos maps a
-	// VarID to its bit position.
-	vars   []ir.VarID
-	varPos map[ir.VarID]int
-	nodes  []*ir.Node
-	pos    map[ir.NodeID]int
-	words  int
-	defIn  []uint64 // definitely-assigned at node entry, words per node
-	mayIn  []uint64 // maybe-assigned at node entry
+	// nodes are the procedure's live nodes in ID order; bit positions are
+	// the variables' ir.LocalSlots slots.
+	nodes []*ir.Node
+	words int
+	mayIn []uint64 // maybe-assigned at node entry, words per node
 }
 
-// analyzeAssignments runs both assignment dataflows for one procedure.
-func analyzeAssignments(p *ir.Program, proc int) *assignFlow {
-	af := &assignFlow{p: p, proc: proc, varPos: make(map[ir.VarID]int), pos: make(map[ir.NodeID]int)}
-	for _, v := range p.Vars {
-		if v != nil && !v.IsGlobal() && v.Proc == proc {
-			af.varPos[v.ID] = len(af.vars)
-			af.vars = append(af.vars, v.ID)
-		}
+// analyzeAssignments runs the assignment dataflow for one procedure.
+func analyzeAssignments(ix *procIndex, proc int) *assignFlow {
+	af := &assignFlow{ix: ix, proc: proc, nodes: ix.procNodes(proc)}
+	if proc >= 0 && proc < len(ix.varCount) {
+		af.words = (int(ix.varCount[proc]) + 63) / 64
 	}
-	for _, n := range p.Nodes {
-		if n != nil && n.Proc == proc {
-			af.pos[n.ID] = len(af.nodes)
-			af.nodes = append(af.nodes, n)
-		}
-	}
-	af.words = (len(af.vars) + 63) / 64
 	if af.words == 0 || len(af.nodes) == 0 {
 		return af
 	}
-	af.defIn = make([]uint64, af.words*len(af.nodes))
 	af.mayIn = make([]uint64, af.words*len(af.nodes))
-	// Non-entry in-states start at the intersection identity (all ones) for
-	// the definite analysis and empty for the maybe analysis; entry nodes
-	// have no dataflow predecessors and keep empty in-states (their formals
-	// are transfer-function definitions).
-	for i, n := range af.nodes {
-		if n.Kind != ir.NEntry {
-			row := af.defIn[i*af.words : (i+1)*af.words]
-			for w := range row {
-				row[w] = ^uint64(0)
-			}
-		}
-	}
 	af.solve()
 	return af
 }
@@ -114,7 +86,7 @@ func analyzeAssignments(p *ir.Program, proc int) *assignFlow {
 // exit destinations, plus the formals at procedure entries.
 func (af *assignFlow) defs(n *ir.Node, emit func(pos int)) {
 	add := func(v ir.VarID) {
-		if pos, ok := af.varPos[v]; ok {
+		if pos, ok := af.ix.varPos(v, af.proc); ok {
 			emit(pos)
 		}
 	}
@@ -124,8 +96,9 @@ func (af *assignFlow) defs(n *ir.Node, emit func(pos int)) {
 			add(n.Dst)
 		}
 	case ir.NEntry:
-		if n.Proc >= 0 && n.Proc < len(af.p.Procs) && af.p.Procs[n.Proc] != nil {
-			for _, formal := range af.p.Procs[n.Proc].Formals {
+		procs := af.ix.prog.Procs
+		if n.Proc >= 0 && n.Proc < len(procs) && procs[n.Proc] != nil {
+			for _, formal := range procs[n.Proc].Formals {
 				add(formal)
 			}
 		}
@@ -138,19 +111,18 @@ func (af *assignFlow) flowPreds(n *ir.Node, emit func(pos int)) {
 		return // entry predecessors are call sites of other frames
 	}
 	for _, m := range n.Preds {
-		mn := af.p.Node(m)
-		if mn == nil || mn.Proc != af.proc || mn.Kind == ir.NExit {
+		mn := af.ix.prog.Node(m)
+		if mn == nil || mn.Kind == ir.NExit {
 			continue // return edges are not local dataflow
 		}
-		if pos, ok := af.pos[m]; ok {
+		if pos, ok := af.ix.nodePos(m, af.proc); ok {
 			emit(pos)
 		}
 	}
 }
 
-// solve iterates both analyses to their fixpoints with round-robin sweeps
-// (the definite sets only shrink, the maybe sets only grow, so joint
-// iteration terminates).
+// solve iterates the analysis to its fixpoint with round-robin sweeps (the
+// sets only grow, so iteration terminates).
 func (af *assignFlow) solve() {
 	w := af.words
 	// Per-node def bitsets, computed once: out(n) = in(n) | defRow(n).
@@ -161,97 +133,34 @@ func (af *assignFlow) solve() {
 			row[pos/64] |= 1 << (pos % 64)
 		})
 	}
-	defOut := make([]uint64, w)
-	mayOut := make([]uint64, w)
 	for changed := true; changed; {
 		changed = false
 		for i, n := range af.nodes {
 			if n.Kind == ir.NEntry {
 				continue // boundary in-states stay empty
 			}
-			havePreds := false
-			for k := 0; k < w; k++ {
-				defOut[k] = ^uint64(0)
-				mayOut[k] = 0
-			}
+			mrow := af.mayIn[i*w : (i+1)*w]
 			af.flowPreds(n, func(pp int) {
-				havePreds = true
-				dr := af.defIn[pp*w : (pp+1)*w]
 				mr := af.mayIn[pp*w : (pp+1)*w]
 				gen := defRows[pp*w : (pp+1)*w]
 				for k := 0; k < w; k++ {
-					defOut[k] &= dr[k] | gen[k]
-					mayOut[k] |= mr[k] | gen[k]
+					if nv := mrow[k] | mr[k] | gen[k]; nv != mrow[k] {
+						mrow[k] = nv
+						changed = true
+					}
 				}
 			})
-			if !havePreds {
-				continue // orphan: keep the vacuous all-ones / empty states
-			}
-			drow := af.defIn[i*w : (i+1)*w]
-			mrow := af.mayIn[i*w : (i+1)*w]
-			for k := 0; k < w; k++ {
-				if nv := drow[k] & defOut[k]; nv != drow[k] {
-					drow[k] = nv
-					changed = true
-				}
-				if nv := mrow[k] | mayOut[k]; nv != mrow[k] {
-					mrow[k] = nv
-					changed = true
-				}
-			}
 		}
 	}
 }
 
-func (af *assignFlow) bit(set []uint64, nodePos int, v ir.VarID) (bool, bool) {
-	pos, ok := af.varPos[v]
-	if !ok || set == nil {
+// maybeAssignedAt reports whether any intraprocedural path reaching the
+// procedure's i-th node assigns the variable. The second result is false
+// when the variable does not belong to this procedure.
+func (af *assignFlow) maybeAssignedAt(i int, v ir.VarID) (bool, bool) {
+	pos, ok := af.ix.varPos(v, af.proc)
+	if !ok || af.mayIn == nil {
 		return false, false
 	}
-	return set[nodePos*af.words+pos/64]&(1<<(pos%64)) != 0, true
-}
-
-// definitelyAssignedIn reports whether the procedure's variable is assigned
-// on every intraprocedural path reaching the node. The second result is
-// false when the variable does not belong to this procedure.
-func (af *assignFlow) definitelyAssignedIn(n ir.NodeID, v ir.VarID) (bool, bool) {
-	pos, ok := af.pos[n]
-	if !ok {
-		return false, false
-	}
-	return af.bit(af.defIn, pos, v)
-}
-
-// maybeAssignedIn reports whether any intraprocedural path reaching the
-// node assigns the variable.
-func (af *assignFlow) maybeAssignedIn(n ir.NodeID, v ir.VarID) (bool, bool) {
-	pos, ok := af.pos[n]
-	if !ok {
-		return false, false
-	}
-	return af.bit(af.mayIn, pos, v)
-}
-
-// forEachMayUndefRead calls f for every procedure variable with a read that
-// is not definitely preceded by an assignment — the variables whose SCCP
-// cell must include the interpreter's implicit zero. Procedure exits count
-// as implicit reads of the return variable.
-func (af *assignFlow) forEachMayUndefRead(f func(ir.VarID)) {
-	reported := make(map[ir.VarID]bool)
-	for _, n := range af.nodes {
-		check := func(v ir.VarID) {
-			if reported[v] {
-				return
-			}
-			def, owned := af.definitelyAssignedIn(n.ID, v)
-			if owned && !def {
-				reported[v] = true
-				f(v)
-			}
-		}
-		forEachRead(n, check)
-		if n.Kind == ir.NExit && n.Proc >= 0 && n.Proc < len(af.p.Procs) && af.p.Procs[n.Proc] != nil {
-			check(af.p.Procs[n.Proc].RetVar)
-		}
-	}
+	return af.mayIn[i*af.words+pos/64]&(1<<(pos%64)) != 0, true
 }

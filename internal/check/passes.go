@@ -3,6 +3,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"icbe/internal/ir"
 	"icbe/internal/pred"
@@ -49,34 +50,6 @@ func flattenErrors(err error) []error {
 	return []error{err}
 }
 
-// reachableFromEntries computes the per-procedure structural reachability
-// set: BFS from the procedure's entries over same-procedure successor
-// edges. This is exactly the rule restructure's pruning uses, so a node
-// outside the set after an apply is a node pruning should have removed.
-func reachableFromEntries(p *ir.Program, pr *ir.Proc) map[ir.NodeID]bool {
-	seen := make(map[ir.NodeID]bool)
-	var stack []ir.NodeID
-	for _, e := range pr.Entries {
-		if p.Node(e) != nil && !seen[e] {
-			seen[e] = true
-			stack = append(stack, e)
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range p.Node(id).Succs {
-			sn := p.Node(s)
-			if sn == nil || sn.Proc != pr.Index || seen[s] {
-				continue
-			}
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
-	return seen
-}
-
 // unreachablePass flags live nodes not reachable from their procedure's
 // entries. Lowering never emits them and restructuring prunes them, so one
 // left behind means a restructuring kept dead code alive (or wired a split
@@ -86,14 +59,15 @@ type unreachablePass struct{}
 func (unreachablePass) Name() string { return "unreachable-node" }
 func (unreachablePass) Kind() Kind   { return Invariant }
 func (unreachablePass) Run(cx *Context) []Finding {
+	ix := cx.index()
+	reach := ix.reachable()
 	var out []Finding
 	for _, pr := range cx.Prog.Procs {
 		if pr == nil {
 			continue
 		}
-		seen := reachableFromEntries(cx.Prog, pr)
-		for _, n := range cx.Prog.ProcNodes(pr.Index) {
-			if !seen[n.ID] {
+		for _, n := range ix.procNodes(pr.Index) {
+			if !reach[n.ID] {
 				out = append(out, Finding{Pass: "unreachable-node", Node: n.ID, Line: n.Line,
 					Msg: fmt.Sprintf("node (%s) unreachable from proc %q entries", n.Kind, pr.Name)})
 			}
@@ -112,24 +86,25 @@ type useBeforeDefPass struct{}
 func (useBeforeDefPass) Name() string { return "use-before-def" }
 func (useBeforeDefPass) Kind() Kind   { return Invariant }
 func (useBeforeDefPass) Run(cx *Context) []Finding {
+	ix := cx.index()
+	reach := ix.reachable()
 	var out []Finding
 	for _, pr := range cx.Prog.Procs {
 		if pr == nil {
 			continue
 		}
-		af := analyzeAssignments(cx.Prog, pr.Index)
-		seen := reachableFromEntries(cx.Prog, pr)
-		for _, n := range af.nodes {
-			if !seen[n.ID] {
+		af := analyzeAssignments(ix, pr.Index)
+		for i, n := range af.nodes {
+			if !reach[n.ID] {
 				continue // unreachable nodes are the unreachable-node pass's finding
 			}
-			reportedHere := make(map[ir.VarID]bool)
+			var reportedHere []ir.VarID
 			forEachRead(n, func(v ir.VarID) {
-				may, owned := af.maybeAssignedIn(n.ID, v)
-				if !owned || may || reportedHere[v] {
+				may, owned := af.maybeAssignedAt(i, v)
+				if !owned || may || slices.Contains(reportedHere, v) {
 					return
 				}
-				reportedHere[v] = true
+				reportedHere = append(reportedHere, v)
 				name := fmt.Sprintf("v%d", int(v))
 				if v >= 0 && int(v) < len(cx.Prog.Vars) && cx.Prog.Vars[v] != nil {
 					name = cx.Prog.Vars[v].Name

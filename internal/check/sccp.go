@@ -101,20 +101,36 @@ type cell struct {
 
 // space is the state layout of one procedure: the globals (a prefix shared
 // by every space, in the same slot order) followed by the procedure's own
-// variables. ir.Validate guarantees a node references only globals and its
-// own procedure's variables, so per-point states never need the whole arena.
+// variables in their ir.LocalSlots order. ir.Validate guarantees a node
+// references only globals and its own procedure's variables, so per-point
+// states never need the whole arena.
 type space struct {
-	// slots maps VarID → slot, -1 when the variable is not in this space.
-	slots []int32
+	// proc is the owning procedure, -1 for the globals-only fallback space.
+	proc int
 	// vars maps slot → VarID.
 	vars []ir.VarID
+	lay  *layout
+}
+
+// layout is the variable → slot table every space of one run shares: a
+// global's position among the globals, or nGlob plus a local's
+// ir.LocalSlots slot; -1 for nil arena entries and orphaned locals. owner
+// holds each local's procedure.
+type layout struct {
+	nGlob int
+	slots []int32
+	owner []int32
 }
 
 func (sp *space) slot(v ir.VarID) int {
-	if v < 0 || int(v) >= len(sp.slots) {
+	if v < 0 || int(v) >= len(sp.lay.slots) {
 		return -1
 	}
-	return int(sp.slots[v])
+	s := int(sp.lay.slots[v])
+	if s >= sp.lay.nGlob && int(sp.lay.owner[v]) != sp.proc {
+		return -1 // another procedure's local
+	}
+	return s
 }
 
 // SCCP is the result of one forward conditional constant propagation run:
@@ -304,9 +320,15 @@ type sccpRun struct {
 	exec     []bool
 	mustFail []bool
 	ces      []*ceState
-	queue    []ir.NodeID
-	head     int
-	inWL     []bool
+	// arena backs every node's entry state (first arrivals are copied into
+	// it, sized by the per-node space sizes), and buf is the scratch state a
+	// transfer function builds its out-state in before pushState consumes
+	// it.
+	arena []cell
+	buf   []cell
+	queue []ir.NodeID
+	head  int
+	inWL  []bool
 	// steps bounds worklist processing; exceeding the budget (possible only
 	// on adversarial graphs whose interval flows keep descending) flips
 	// saturated, the sound give-up state.
@@ -344,31 +366,39 @@ func newSCCPRun(p *ir.Program) *sccpRun {
 		}
 	}
 	r.nGlob = len(globals)
-	mkSpace := func() *space {
-		sp := &space{slots: make([]int32, len(p.Vars)), vars: append([]ir.VarID(nil), globals...)}
-		for i := range sp.slots {
-			sp.slots[i] = -1
+	local, count := ir.LocalSlots(p)
+	lay := &layout{nGlob: r.nGlob, slots: make([]int32, len(local)), owner: make([]int32, len(local))}
+	for v, s := range local {
+		lay.slots[v] = -1
+		if s >= 0 {
+			lay.slots[v] = int32(r.nGlob) + s
+			lay.owner[v] = int32(p.Vars[v].Proc)
 		}
-		for s, v := range globals {
-			sp.slots[v] = int32(s)
-		}
-		return sp
 	}
-	r.fallback = mkSpace()
+	for s, v := range globals {
+		lay.slots[v] = int32(s)
+	}
+	r.fallback = &space{proc: -1, vars: globals, lay: lay}
 	r.spaces = make([]*space, len(p.Procs))
 	for pi := range p.Procs {
-		sp := mkSpace()
-		for _, v := range p.Vars {
-			if v != nil && !v.IsGlobal() && v.Proc == pi {
-				sp.slots[v.ID] = int32(len(sp.vars))
-				sp.vars = append(sp.vars, v.ID)
-			}
-		}
-		r.spaces[pi] = sp
+		vars := make([]ir.VarID, r.nGlob, r.nGlob+int(count[pi]))
+		copy(vars, globals)
+		r.spaces[pi] = &space{proc: pi, vars: vars, lay: lay}
 	}
-	total := 0
-	p.LiveNodes(func(n *ir.Node) { total += len(r.spaceOf(n.Proc).vars) + 1 })
+	for i, v := range p.Vars {
+		if local[i] >= 0 {
+			sp := r.spaces[v.Proc]
+			sp.vars = append(sp.vars, ir.VarID(i))
+		}
+	}
+	total, cells := 0, 0
+	p.LiveNodes(func(n *ir.Node) {
+		k := len(r.spaceOf(n.Proc).vars)
+		total += k + 1
+		cells += k
+	})
 	r.budget = 4096 + 32*total
+	r.arena = make([]cell, 0, cells)
 	return r
 }
 
@@ -431,6 +461,13 @@ func (r *sccpRun) drain() {
 
 func cloneCells(st []cell) []cell { return append([]cell(nil), st...) }
 
+// scratch copies st into the run's reusable scratch state. The copy is
+// valid until the next scratch call; pushState consumes it synchronously.
+func (r *sccpRun) scratch(st []cell) []cell {
+	r.buf = append(r.buf[:0], st...)
+	return r.buf
+}
+
 // meetCells meets src into dst elementwise, reporting whether dst changed.
 // Aliases survive only when both sides agree; length mismatches (possible
 // only across fuzz-mutated cross-procedure edges) bottom out the tail.
@@ -467,7 +504,12 @@ func (r *sccpRun) meetIn(id ir.NodeID, st []cell) {
 		return
 	}
 	if r.in[id] == nil {
-		r.in[id] = cloneCells(st)
+		if n := len(r.arena); n+len(st) <= cap(r.arena) {
+			r.arena = append(r.arena, st...)
+			r.in[id] = r.arena[n:len(r.arena):len(r.arena)]
+		} else {
+			r.in[id] = cloneCells(st) // defensive: states match their node's space
+		}
 		r.exec[id] = true
 		r.enqueue(id)
 		return
@@ -731,14 +773,14 @@ func (r *sccpRun) process(id ir.NodeID) {
 	sp := r.spaceOf(n.Proc)
 	switch n.Kind {
 	case ir.NAssign:
-		out := cloneCells(st)
+		out := r.scratch(st)
 		v, root := evalRHS(st, sp, n)
 		assign(out, sp, n.Dst, v, root)
 		r.pushAll(n, out, sp)
 	case ir.NBranch:
 		r.processBranch(n, st, sp)
 	case ir.NAssert:
-		out := cloneCells(st)
+		out := r.scratch(st)
 		ok := true
 		if validOp(n.APred.Op) {
 			ok = refineGroup(out, sp, n.AVar, n.APred.Op, n.APred.C)
@@ -756,7 +798,7 @@ func (r *sccpRun) process(id ir.NodeID) {
 	case ir.NExit:
 		r.processExit(n, st, sp)
 	case ir.NCallExit:
-		out := cloneCells(st)
+		out := r.scratch(st)
 		if n.Dst != ir.NoVar {
 			ret := bottom()
 			if ce := r.ces[id]; ce != nil && ce.hasExit {
@@ -785,7 +827,7 @@ func (r *sccpRun) processBranch(n *ir.Node, st []cell, sp *space) {
 	o := decideValues(n.CondOp, l, rv)
 	refinable := n.CondRHS.IsConst && validOp(n.CondOp)
 	if o != pred.False && len(n.Succs) > 0 {
-		out := cloneCells(st)
+		out := r.scratch(st)
 		ok := true
 		if refinable {
 			ok = refineGroup(out, sp, n.CondVar, n.CondOp, n.CondRHS.Const)
@@ -795,7 +837,7 @@ func (r *sccpRun) processBranch(n *ir.Node, st []cell, sp *space) {
 		}
 	}
 	if o != pred.True && len(n.Succs) > 1 {
-		out := cloneCells(st)
+		out := r.scratch(st)
 		ok := true
 		if refinable {
 			np := pred.Pred{Op: n.CondOp, C: n.CondRHS.Const}.Negate()

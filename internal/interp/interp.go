@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"icbe/internal/ir"
 )
@@ -70,10 +71,17 @@ func (e *RuntimeError) Error() string {
 // Unwrap exposes the categorizing sentinel, if any.
 func (e *RuntimeError) Unwrap() error { return e.Err }
 
+// frame is one procedure activation. The procedure's own variables live in
+// the machine's value stack at base plus their ir.LocalSlots slot. A local
+// of another procedure — reachable only on programs that fail ir.Validate —
+// lives in the lazily allocated overflow map instead, which keeps the
+// semantics of a per-frame variable map: unwritten reads yield 0 and writes
+// stay in this frame.
 type frame struct {
 	proc     int
 	callNode ir.NodeID // NCall node that created this frame; NoNode for main
-	vars     map[ir.VarID]int64
+	base     int
+	overflow map[ir.VarID]int64
 }
 
 type machine struct {
@@ -81,9 +89,14 @@ type machine struct {
 	opts    Options
 	globals []int64
 	heap    []int64
-	frames  []*frame
-	inPos   int
-	res     *Result
+	// slot and count are the program's ir.LocalSlots layout; stack holds
+	// every live frame's own variables, frame after frame.
+	slot   []int32
+	count  []int32
+	stack  []int64
+	frames []frame
+	inPos  int
+	res    *Result
 }
 
 // Run executes the program from main's entry until main's exit. The
@@ -96,6 +109,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		heap:    make([]int64, 1), // heap[0] unused; 0 is the nil pointer
 		res:     &Result{},
 	}
+	m.slot, m.count = ir.LocalSlots(p)
 	if opts.Profile {
 		m.res.ExecCount = make(map[ir.NodeID]int64)
 	}
@@ -110,7 +124,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	}
 
 	main := p.Procs[p.MainProc]
-	m.frames = []*frame{{proc: p.MainProc, callNode: ir.NoNode, vars: make(map[ir.VarID]int64)}}
+	m.push(p.MainProc, ir.NoNode)
 	cur := p.Node(main.Entries[0])
 	var retVal int64 // value carried from an exit to its call-site exit
 
@@ -179,17 +193,18 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 
 		case ir.NCall:
 			callee := m.prog.Procs[cur.Callee]
-			nf := &frame{proc: cur.Callee, callNode: cur.ID, vars: make(map[ir.VarID]int64)}
+			m.push(cur.Callee, cur.ID)
+			caller, nf := &m.frames[len(m.frames)-2], &m.frames[len(m.frames)-1]
 			for i, formal := range callee.Formals {
-				nf.vars[formal] = m.read(cur.Args[i])
+				m.setLocal(nf, formal, m.readIn(caller, cur.Args[i]))
 			}
-			m.frames = append(m.frames, nf)
 			cur = m.prog.EntrySucc(cur)
 
 		case ir.NExit:
 			top := m.frames[len(m.frames)-1]
 			retVal = m.read(m.prog.Procs[top.proc].RetVar)
 			m.frames = m.frames[:len(m.frames)-1]
+			m.stack = m.stack[:top.base]
 			if top.callNode == ir.NoNode {
 				// main returned: program halts.
 				return m.res, nil
@@ -232,11 +247,16 @@ func (m *machine) onlySucc(n *ir.Node) *ir.Node {
 	return m.prog.Node(n.Succs[0])
 }
 
+// push activates a frame for proc with its own variables zeroed.
+func (m *machine) push(proc int, callNode ir.NodeID) {
+	base := len(m.stack)
+	m.stack = slices.Grow(m.stack, int(m.count[proc]))[:base+int(m.count[proc])]
+	clear(m.stack[base:])
+	m.frames = append(m.frames, frame{proc: proc, callNode: callNode, base: base})
+}
+
 func (m *machine) read(v ir.VarID) int64 {
-	if m.prog.Vars[v].IsGlobal() {
-		return m.globals[v]
-	}
-	return m.frames[len(m.frames)-1].vars[v]
+	return m.readIn(&m.frames[len(m.frames)-1], v)
 }
 
 func (m *machine) write(v ir.VarID, x int64) {
@@ -244,7 +264,39 @@ func (m *machine) write(v ir.VarID, x int64) {
 		m.globals[v] = x
 		return
 	}
-	m.frames[len(m.frames)-1].vars[v] = x
+	m.setLocal(&m.frames[len(m.frames)-1], v, x)
+}
+
+// readIn reads v as seen from frame f.
+func (m *machine) readIn(f *frame, v ir.VarID) int64 {
+	if m.prog.Vars[v].IsGlobal() {
+		return m.globals[v]
+	}
+	if i := m.stackPos(f, v); i >= 0 {
+		return m.stack[i]
+	}
+	return f.overflow[v]
+}
+
+// setLocal writes v into frame f's own storage.
+func (m *machine) setLocal(f *frame, v ir.VarID, x int64) {
+	if i := m.stackPos(f, v); i >= 0 {
+		m.stack[i] = x
+		return
+	}
+	if f.overflow == nil {
+		f.overflow = make(map[ir.VarID]int64)
+	}
+	f.overflow[v] = x
+}
+
+// stackPos returns the value-stack index of v in frame f, or -1 when v is
+// not one of f's procedure's own variables.
+func (m *machine) stackPos(f *frame, v ir.VarID) int {
+	if v < 0 || int(v) >= len(m.slot) || m.slot[v] < 0 || m.prog.Vars[v].Proc != f.proc {
+		return -1
+	}
+	return f.base + int(m.slot[v])
 }
 
 func (m *machine) operand(o ir.Operand) int64 {

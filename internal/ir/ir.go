@@ -550,3 +550,23 @@ func (p *Program) ProcByName(name string) *Proc {
 	}
 	return nil
 }
+
+// LocalSlots numbers every procedure's own variables densely in arena
+// order: slot[v] is local variable v's position among its owning
+// procedure's variables and count[proc] is that procedure's number of own
+// variables. Globals, nil arena entries and locals whose owner is out of
+// range get slot -1. The interpreter's frames and the check layer's
+// per-procedure states share this layout.
+func LocalSlots(p *Program) (slot []int32, count []int32) {
+	slot = make([]int32, len(p.Vars))
+	count = make([]int32, len(p.Procs))
+	for i, v := range p.Vars {
+		slot[i] = -1
+		if v == nil || v.IsGlobal() || v.Proc < 0 || v.Proc >= len(p.Procs) {
+			continue
+		}
+		slot[i] = count[v.Proc]
+		count[v.Proc]++
+	}
+	return slot, count
+}

@@ -16,11 +16,14 @@ import (
 // runs at the start of every branch analysis against the round's snapshot;
 // testHookAfterApply runs on the scratch clone after a successful Eliminate,
 // before the gating oracles, and a non-nil return is treated as a validation
-// failure. Both may panic to exercise the driver's fault isolation. They
-// must be nil outside tests.
+// failure. testHookAfterFold is the fold pass's twin: it runs on the scratch
+// clone after a fold rewrite, and a non-nil return vetoes the fold. All may
+// panic to exercise the driver's fault isolation. They must be nil outside
+// tests.
 var (
 	testHookAnalyze    func(snapshot *ir.Program, b ir.NodeID)
 	testHookAfterApply func(scratch *ir.Program, cond ir.NodeID) error
+	testHookAfterFold  func(scratch *ir.Program, branch ir.NodeID) error
 )
 
 // DriverOptions configures the two-phase optimization driver.
@@ -91,11 +94,13 @@ type DriverOptions struct {
 	// baseline for measuring the incremental speedup (icbe-bench -stress).
 	Scratch bool
 	// Verify enables the differential shadow-execution oracle: after each
-	// applied restructuring the pre- and post-apply programs are run over
-	// VerifyInputs plus built-in input vectors, and any output difference
-	// or operation-count growth rolls the apply back with a typed failure.
-	// Verification multiplies apply cost by the number of shadow runs; see
-	// DriverStats.VerifyRuns / VerifyWall.
+	// applied restructuring the post-apply program is run over
+	// VerifyInputs plus built-in input vectors and compared with the
+	// pre-apply program's runs, and any output difference or
+	// operation-count growth rolls the apply back with a typed failure.
+	// The pre-apply runs are the carried baseline (the last adopted
+	// attempt's post-apply runs), so each apply costs one interpreter run
+	// per input; see DriverStats.VerifyRuns / VerifyWall.
 	Verify bool
 	// VerifyInputs supplies workload input vectors for Verify, checked in
 	// addition to the built-in vectors.
@@ -211,8 +216,10 @@ type DriverStats struct {
 	// both) so reuse-rate aggregation from stats alone is self-contained:
 	// reuse rate = QueriesReused / PairsTotal.
 	PairsTotal int
-	// VerifyRuns counts shadow executions performed by the differential
-	// oracle (DriverOptions.Verify); VerifyWall is their summed wall time.
+	// VerifyRuns counts the differential oracle's per-input comparisons of
+	// a pre- and a post-apply run (DriverOptions.Verify, and every fold
+	// attempt); inputs whose baseline exhausted the shadow step budget
+	// count too. VerifyWall is their summed wall time.
 	VerifyRuns int
 	// CheckRuns counts static check-layer analyses (DriverOptions.Check):
 	// the initial baseline, one per attempted apply, and recomputations
@@ -259,8 +266,9 @@ type DriverStats struct {
 	CheckFindingsPre  int
 	CheckFindingsPost int
 	// AnalysisWall and ApplyWall sum the wall-clock time of the analysis
-	// phases and the serial apply phases. They and VerifyWall are the only
-	// nondeterministic fields of a driver result.
+	// phases and the serial apply phases. They, VerifyWall, CheckWall and
+	// FoldWall are wall-clock times, the only nondeterministic fields of a
+	// driver result.
 	AnalysisWall time.Duration
 	ApplyWall    time.Duration
 	VerifyWall   time.Duration
@@ -362,6 +370,12 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	var gate *checkGate
 	if opts.Check {
 		gate = newCheckGate(work, &out.Stats)
+	}
+	// The fold pass shadow-executes every attempt even with Verify off, and
+	// shares the correlation rounds' carried baseline when both run.
+	var shadow *shadowOracle
+	if opts.Verify || opts.Fold {
+		shadow = newShadowOracle(verifyInputs(opts))
 	}
 
 	// The work queue starts with the conditionals of the input program.
@@ -471,7 +485,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 			// commit point; every earlier exit rolls back by discarding it.
 			scratch := ir.Clone(work)
 			out.Stats.Clones++
-			oc, declined, fail := applyOne(work, scratch, cr, opts, gate, &out.Stats)
+			oc, declined, fail := applyOne(work, scratch, cr, opts, gate, shadow, &out.Stats)
 			switch {
 			case fail != nil:
 				cr.rep.Failure = fail
@@ -487,6 +501,9 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 				work = scratch
 				if gate != nil {
 					gate.adopt(work)
+				}
+				if shadow != nil {
+					shadow.adopt(work)
 				}
 				// Requeue branch copies created as a side effect of this
 				// restructuring (including surviving copies of cr.b
@@ -547,7 +564,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 		// decides but the correlation rounds left behind. Runs before
 		// gate.finish so the Check layer's end-of-run residual metric
 		// reflects the folded program.
-		work = runFoldPass(ctx, work, opts, out)
+		work = runFoldPass(ctx, work, opts, shadow, out)
 	}
 	if gate != nil {
 		gate.finish(work)
@@ -570,7 +587,7 @@ func release(cr *condResult) {
 // violation) — in every non-commit case the caller simply discards the
 // scratch clone, which is the rollback.
 func applyOne(work, scratch *ir.Program, cr *condResult, opts DriverOptions,
-	gate *checkGate, stats *DriverStats) (oc *Outcome, declined error, fail *BranchFailure) {
+	gate *checkGate, shadow *shadowOracle, stats *DriverStats) (oc *Outcome, declined error, fail *BranchFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			oc, declined = nil, nil
@@ -599,7 +616,7 @@ func applyOne(work, scratch *ir.Program, cr *condResult, opts DriverOptions,
 		}
 	}
 	if opts.Verify {
-		if f := verifyShadow(work, scratch, verifyInputs(opts), stats); f != nil {
+		if f := shadow.verify(work, scratch, stats); f != nil {
 			f.Cond, f.Line = cr.b, cr.rep.Line
 			return nil, nil, f
 		}

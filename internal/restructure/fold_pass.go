@@ -24,7 +24,8 @@ import (
 // post-fold oracle re-check that vetoes any fold creating a residual that
 // was not there before. A veto discards the clone and counts a FailFold;
 // the working program is never replaced by a program that failed a gate.
-func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out *DriverResult) *ir.Program {
+func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions,
+	shadow *shadowOracle, out *DriverResult) *ir.Program {
 	t0 := time.Now()
 	stats := &out.Stats
 	defer func() { stats.FoldWall += time.Since(t0) }()
@@ -32,7 +33,6 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out 
 	base := check.AnalyzeInvariants(work)
 	facts := fold.Compute(work, base.SCCP)
 	stats.SCCPResidualBefore = facts.Residual
-	inputs := verifyInputs(opts)
 
 	// Entries that already have no predecessors when the pass starts were
 	// uncalled on input (or intentionally left by the correlation rounds);
@@ -73,7 +73,7 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out 
 			}
 			scratch := ir.Clone(work)
 			stats.Clones++
-			redirected, changed, fail := foldOne(work, scratch, bf, base, initiallyDead, inputs, stats)
+			redirected, changed, rep, fail := foldOne(work, scratch, bf, base, initiallyDead, shadow, stats)
 			if !changed {
 				continue
 			}
@@ -83,11 +83,13 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out 
 				continue
 			}
 			work = scratch
+			shadow.adopt(work)
 			stats.FoldApplied++
 			stats.FoldDuplicated += redirected
 			applied = true
 			budget--
-			base = check.AnalyzeInvariants(work)
+			// The attempt's own report was computed on this exact program.
+			base = rep
 			facts = fold.Compute(work, base.SCCP)
 			break
 		}
@@ -106,28 +108,35 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out 
 // foldOne performs one transactional fold attempt on the scratch clone,
 // running the full gate sequence. Every non-nil failure means the caller
 // discards the clone — that is the rollback. changed is false when the
-// rewriter had nothing safe to do for this row (no attempt happened).
+// rewriter had nothing safe to do for this row (no attempt happened). On
+// success rep is the folded program's invariant report.
 func foldOne(work, scratch *ir.Program, bf *fold.BranchFact, base *check.Report,
-	initiallyDead map[ir.NodeID]bool, inputs [][]int64,
-	stats *DriverStats) (redirected int, changed bool, fail *BranchFailure) {
+	initiallyDead map[ir.NodeID]bool, shadow *shadowOracle,
+	stats *DriverStats) (redirected int, changed bool, rep *check.Report, fail *BranchFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The scratch may be arbitrarily damaged; report the attempt and
 			// let the caller discard it.
-			redirected, changed = 0, true
+			redirected, changed, rep = 0, true, nil
 			fail = panicFailure(bf.Branch, bf.Line, r)
 		}
 	}()
 	redirected, changed = fold.Apply(scratch, bf)
 	if !changed {
-		return 0, false, nil
+		return 0, false, nil, nil
+	}
+	if testHookAfterFold != nil {
+		if err := testHookAfterFold(scratch, bf.Branch); err != nil {
+			return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
+				Msg: "injected fold failure", Err: err}
+		}
 	}
 	pruneProgram(scratch, initiallyDead, nil)
 	if err := ir.Validate(scratch); err != nil {
-		return redirected, true, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
+		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: "folded program failed structural validation", Err: err}
 	}
-	rep := check.AnalyzeInvariants(scratch)
+	rep = check.AnalyzeInvariants(scratch)
 	// Registry order, not map order, so the reported pass is deterministic
 	// when several regress at once.
 	for _, p := range check.Passes() {
@@ -137,18 +146,18 @@ func foldOne(work, scratch *ir.Program, bf *fold.BranchFact, base *check.Report,
 			continue
 		}
 		f, _ := rep.FirstFinding(pass)
-		return redirected, true, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
+		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: "folded program raised " + pass + " finding: " + f.Msg}
 	}
-	if f := verifyShadow(work, scratch, inputs, stats); f != nil {
-		return redirected, true, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
+	if f := shadow.verify(work, scratch, stats); f != nil {
+		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: "fold failed shadow verification (" + f.Kind.String() + "): " + f.Msg, Err: f.Err}
 	}
 	if id, bad := newResidual(work, scratch, base.SCCP, rep.SCCP); bad {
-		return redirected, true, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
+		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: fmt.Sprintf("fold created a new residual constant branch at node %d", id)}
 	}
-	return redirected, true, nil
+	return redirected, true, rep, nil
 }
 
 // newResidual reports an analyzable branch the oracle decides on the folded

@@ -15,18 +15,75 @@ import (
 // error is typed, so "too slow" never masquerades as "wrong").
 const verifyMaxSteps = 2_000_000
 
-// verifyShadow differentially executes the pre- and post-apply programs
-// over the given inputs and returns a typed failure when the restructuring
+// shadowRun is one baseline execution of the working program on one input.
+type shadowRun struct {
+	done bool
+	res  *interp.Result
+	err  error
+}
+
+// shadowOracle is the differential shadow-execution gate with a carried
+// baseline. The pre-apply program of every attempt is the working program,
+// and the working program is always the post-apply program of the last
+// adopted attempt, so the oracle keeps that revision's runs (one per input)
+// and each attempt executes only its post-apply program. The runs of an
+// attempt that passes are held as pending until the driver adopts that
+// exact clone; a run of the working program happens at most once per
+// revision and only for inputs whose carried run is missing.
+type shadowOracle struct {
+	inputs [][]int64
+	// runs holds one baseline run per input of revision prog.
+	prog *ir.Program
+	runs []shadowRun
+	// pendingProg/pending hold the runs of the last attempt that passed,
+	// the baseline of the next revision if the driver adopts it.
+	pendingProg *ir.Program
+	pending     []shadowRun
+}
+
+func newShadowOracle(inputs [][]int64) *shadowOracle {
+	return &shadowOracle{inputs: inputs}
+}
+
+// baseline returns the pre-apply program's run on input i, executing it
+// only when no carried run exists.
+func (o *shadowOracle) baseline(pre *ir.Program, i int) shadowRun {
+	if o.prog != pre {
+		o.prog, o.runs = pre, make([]shadowRun, len(o.inputs))
+	}
+	if !o.runs[i].done {
+		res, err := interp.Run(pre, interp.Options{Input: o.inputs[i], MaxSteps: verifyMaxSteps})
+		o.runs[i] = shadowRun{done: true, res: res, err: err}
+	}
+	return o.runs[i]
+}
+
+// carry turns a passing post-apply run into the next revision's baseline
+// run for the same input. A run longer than verifyMaxSteps is one a fresh
+// baseline execution would have cut off at the budget, so it is carried as
+// that step-limit skip.
+func carry(res *interp.Result, err error) shadowRun {
+	if res.Steps > verifyMaxSteps {
+		err = interp.ErrStepLimit
+	}
+	return shadowRun{done: true, res: res, err: err}
+}
+
+// verify differentially executes the pre- and post-apply programs over the
+// oracle's inputs and returns a typed failure when the restructuring
 // violated the paper's guarantee: output must be identical and the
 // optimized program must never execute more operations (§3.2). Fault
 // behaviour must be preserved too — a run that faults must keep faulting,
-// with the same output prefix.
-func verifyShadow(pre, post *ir.Program, inputs [][]int64, stats *DriverStats) *BranchFailure {
+// with the same output prefix. The pre-apply side comes from the carried
+// baseline; VerifyRuns counts one comparison per input either way.
+func (o *shadowOracle) verify(pre, post *ir.Program, stats *DriverStats) *BranchFailure {
 	t0 := time.Now()
 	defer func() { stats.VerifyWall += time.Since(t0) }()
-	for _, in := range inputs {
+	next := make([]shadowRun, len(o.inputs))
+	for i, in := range o.inputs {
 		stats.VerifyRuns++
-		preRes, preErr := interp.Run(pre, interp.Options{Input: in, MaxSteps: verifyMaxSteps})
+		base := o.baseline(pre, i)
+		preRes, preErr := base.res, base.err
 		if errors.Is(preErr, interp.ErrStepLimit) {
 			// The original program is too slow for the shadow budget on
 			// this input; there is nothing sound to compare against.
@@ -53,8 +110,19 @@ func verifyShadow(pre, post *ir.Program, inputs [][]int64, stats *DriverStats) *
 			return &BranchFailure{Kind: FailOpGrowth, Msg: fmt.Sprintf(
 				"executed operations grew on input %v: %d -> %d", in, preRes.Operations, postRes.Operations)}
 		}
+		next[i] = carry(postRes, postErr)
 	}
+	o.pendingProg, o.pending = post, next
 	return nil
+}
+
+// adopt promotes the pending runs to the baseline when the driver commits
+// that clone as the new working program.
+func (o *shadowOracle) adopt(work *ir.Program) {
+	if o.pendingProg == work {
+		o.prog, o.runs = work, o.pending
+	}
+	o.pendingProg, o.pending = nil, nil
 }
 
 func firstErr(errs ...error) error {
