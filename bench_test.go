@@ -303,6 +303,7 @@ func BenchmarkInterpreter(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Run(w.Ref); err != nil {
 					b.Fatal(err)
@@ -413,6 +414,7 @@ func BenchmarkOptimizeFullTierScale(b *testing.B) {
 	opts := DefaultOptions()
 	opts.Verify, opts.Check, opts.CheckFatal, opts.Fold = true, true, true, true
 	var verify, check time.Duration
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, rep, err := p.Optimize(opts)

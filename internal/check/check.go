@@ -74,6 +74,10 @@ type Context struct {
 	Prog *ir.Program
 	SCCP *SCCP
 	idx  *procIndex
+	// validated marks verdict as the caller's ir.Validate result for Prog,
+	// which the structure pass reports instead of validating again.
+	validated bool
+	verdict   error
 }
 
 // Pass is one registered lint pass. Run must be read-only on the program,
@@ -139,7 +143,20 @@ func AnalyzeWith(p *ir.Program, s *SCCP, passes []Pass) *Report {
 	return runPasses(p, s, passes)
 }
 
+// Invariants runs the invariant passes like AnalyzeInvariants, with the
+// SCCP run's storage drawn from the store (so the report is valid until the
+// store's next run). verdict is the caller's ir.Validate result for p: the
+// structure pass reports it instead of validating the program again.
+func (st *Store) Invariants(p *ir.Program, verdict error) *Report {
+	cx := &Context{Prog: p, SCCP: st.RunSCCP(p), validated: true, verdict: verdict}
+	return cx.run(selectPasses(true))
+}
+
 func run(p *ir.Program, s *SCCP, invariantOnly bool) *Report {
+	return runPasses(p, s, selectPasses(invariantOnly))
+}
+
+func selectPasses(invariantOnly bool) []Pass {
 	var passes []Pass
 	for _, ps := range registry {
 		if invariantOnly && ps.Kind() != Invariant {
@@ -147,7 +164,7 @@ func run(p *ir.Program, s *SCCP, invariantOnly bool) *Report {
 		}
 		passes = append(passes, ps)
 	}
-	return runPasses(p, s, passes)
+	return passes
 }
 
 func runPasses(p *ir.Program, s *SCCP, passes []Pass) *Report {
@@ -155,6 +172,11 @@ func runPasses(p *ir.Program, s *SCCP, passes []Pass) *Report {
 		s = RunSCCP(p)
 	}
 	cx := &Context{Prog: p, SCCP: s}
+	return cx.run(passes)
+}
+
+func (cx *Context) run(passes []Pass) *Report {
+	s := cx.SCCP
 	rep := &Report{PerPass: make(map[string]int, len(passes)), SCCP: s}
 	for _, ps := range passes {
 		fs := ps.Run(cx)

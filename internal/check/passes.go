@@ -27,7 +27,10 @@ type structurePass struct{}
 func (structurePass) Name() string { return "structure" }
 func (structurePass) Kind() Kind   { return Invariant }
 func (structurePass) Run(cx *Context) []Finding {
-	err := ir.Validate(cx.Prog)
+	err := cx.verdict
+	if !cx.validated {
+		err = ir.Validate(cx.Prog)
+	}
 	if err == nil {
 		return nil
 	}

@@ -170,8 +170,40 @@ type SCCP struct {
 // RunSCCP computes the oracle facts of a program. It is read-only, total,
 // and panic-free even on malformed graphs (every node, variable, and
 // procedure reference is bounds-checked), which the fuzz harness relies on.
-func RunSCCP(p *ir.Program) *SCCP {
-	r := newSCCPRun(p)
+func RunSCCP(p *ir.Program) *SCCP { return new(Store).RunSCCP(p) }
+
+// Store is reusable storage for SCCP runs: the per-node entry-state arena,
+// the per-node tables (entry states, executability, must-fail marks,
+// worklist membership, call-site-exit halves), the worklist itself and the
+// result's per-node and per-variable summaries. A driver that re-runs the
+// oracle after every restructuring attempt keeps one store per live result
+// instead of reallocating all of it per run.
+//
+// A store backs at most one live result: running again with the same store
+// invalidates the SCCP (and any Report holding it) its previous run
+// produced. The zero value is ready to use; a Store is not safe for
+// concurrent use.
+type Store struct {
+	in       [][]cell
+	exec     []bool
+	mustFail []bool
+	inWL     []bool
+	ces      []*ceState
+	// cePool holds the ceState records ces points to; a record's half
+	// states keep their capacity across runs.
+	cePool []*ceState
+	arena  []cell
+	queue  []ir.NodeID
+	// Scratch states: a transfer function's out-state, a callee entry
+	// state, a callee exit's globals and a merged call-site-exit state.
+	buf, entry, glb, merged []cell
+	ceRet                   []Value
+	summary                 []Value
+}
+
+// RunSCCP is the package-level RunSCCP drawing its storage from the store.
+func (st *Store) RunSCCP(p *ir.Program) *SCCP {
+	r := newSCCPRun(p, st)
 	r.seed()
 	r.drain()
 	s := &SCCP{
@@ -185,7 +217,8 @@ func RunSCCP(p *ir.Program) *SCCP {
 		return s
 	}
 	s.in, s.exec = r.in, r.exec
-	s.ceRet = make([]Value, len(r.ces))
+	st.ceRet = reset(st.ceRet, len(r.ces))
+	s.ceRet = st.ceRet
 	for i, ce := range r.ces {
 		if ce != nil && ce.hasExit {
 			s.ceRet[i] = ce.ret
@@ -201,7 +234,8 @@ func RunSCCP(p *ir.Program) *SCCP {
 			s.mustFail = append(s.mustFail, n.ID)
 		}
 	})
-	s.summary = make([]Value, len(p.Vars))
+	st.summary = reset(st.summary, len(p.Vars))
+	s.summary = st.summary
 	p.LiveNodes(func(n *ir.Node) {
 		st := s.stateOf(n.ID)
 		if st == nil {
@@ -321,14 +355,18 @@ type sccpRun struct {
 	mustFail []bool
 	ces      []*ceState
 	// arena backs every node's entry state (first arrivals are copied into
-	// it, sized by the per-node space sizes), and buf is the scratch state a
-	// transfer function builds its out-state in before pushState consumes
-	// it.
+	// it, sized by the per-node space sizes). meetIn copies every state it
+	// keeps, so transfer functions build their out-states in the store's
+	// scratch buffers.
 	arena []cell
-	buf   []cell
-	queue []ir.NodeID
-	head  int
-	inWL  []bool
+	// queue holds the worklist from head on. Each node is queued at most
+	// once at a time (inWL), so enqueue compacts the live tail to the front
+	// instead of growing past the node count.
+	queue  []ir.NodeID
+	head   int
+	inWL   []bool
+	ceUsed int // cePool records in use
+	store  *Store
 	// steps bounds worklist processing; exceeding the budget (possible only
 	// on adversarial graphs whose interval flows keep descending) flips
 	// saturated, the sound give-up state.
@@ -345,19 +383,45 @@ type sccpRun struct {
 type ceState struct {
 	callSt  []cell
 	hasCall bool
+	// callSet records that callSt holds the first caller state: an empty
+	// first state leaves it unset, so the next caller half counts as a
+	// change again.
+	callSet bool
 	exitGlb []cell
 	ret     Value
 	hasExit bool
 }
 
-func newSCCPRun(p *ir.Program) *sccpRun {
+// reset returns s resized to n zeroed elements, reusing its capacity (and
+// leaving headroom when it must grow).
+func reset[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+func newSCCPRun(p *ir.Program, st *Store) *sccpRun {
+	n := len(p.Nodes)
+	st.in = reset(st.in, n)
+	st.exec = reset(st.exec, n)
+	st.mustFail = reset(st.mustFail, n)
+	st.ces = reset(st.ces, n)
+	st.inWL = reset(st.inWL, n)
+	if cap(st.queue) < n {
+		st.queue = make([]ir.NodeID, 0, n+n/4)
+	}
 	r := &sccpRun{
 		p:        p,
-		in:       make([][]cell, len(p.Nodes)),
-		exec:     make([]bool, len(p.Nodes)),
-		mustFail: make([]bool, len(p.Nodes)),
-		ces:      make([]*ceState, len(p.Nodes)),
-		inWL:     make([]bool, len(p.Nodes)),
+		in:       st.in,
+		exec:     st.exec,
+		mustFail: st.mustFail,
+		ces:      st.ces,
+		inWL:     st.inWL,
+		queue:    st.queue[:0],
+		store:    st,
 	}
 	var globals []ir.VarID
 	for _, v := range p.Vars {
@@ -398,7 +462,12 @@ func newSCCPRun(p *ir.Program) *sccpRun {
 		cells += k
 	})
 	r.budget = 4096 + 32*total
-	r.arena = make([]cell, 0, cells)
+	if cap(st.arena) < cells {
+		// Headroom: a store is re-run on successive revisions of a
+		// program, which grow a little with every restructuring.
+		st.arena = make([]cell, 0, cells+cells/4)
+	}
+	r.arena = st.arena[:0]
 	return r
 }
 
@@ -442,6 +511,11 @@ func (r *sccpRun) enqueue(id ir.NodeID) {
 		return
 	}
 	r.inWL[id] = true
+	if len(r.queue) == cap(r.queue) && r.head > 0 {
+		// Compact: the processed prefix is dead, and FIFO order is kept.
+		k := copy(r.queue, r.queue[r.head:])
+		r.queue, r.head = r.queue[:k], 0
+	}
 	r.queue = append(r.queue, id)
 }
 
@@ -464,8 +538,8 @@ func cloneCells(st []cell) []cell { return append([]cell(nil), st...) }
 // scratch copies st into the run's reusable scratch state. The copy is
 // valid until the next scratch call; pushState consumes it synchronously.
 func (r *sccpRun) scratch(st []cell) []cell {
-	r.buf = append(r.buf[:0], st...)
-	return r.buf
+	r.store.buf = append(r.store.buf[:0], st...)
+	return r.store.buf
 }
 
 // meetCells meets src into dst elementwise, reporting whether dst changed.
@@ -866,7 +940,8 @@ func (r *sccpRun) processCall(n *ir.Node, st []cell, sp *space) {
 	var csp *space
 	if calleeOK {
 		csp = r.spaceOf(callee)
-		es = make([]cell, len(csp.vars))
+		r.store.entry = reset(r.store.entry, len(csp.vars))
+		es = r.store.entry
 		for i := range es {
 			if i < r.nGlob {
 				es[i] = r.globalCell(st, i)
@@ -925,7 +1000,14 @@ func (r *sccpRun) ceOf(id ir.NodeID) *ceState {
 		return nil
 	}
 	if r.ces[id] == nil {
-		r.ces[id] = &ceState{}
+		st := r.store
+		if r.ceUsed == len(st.cePool) {
+			st.cePool = append(st.cePool, &ceState{})
+		}
+		ce := st.cePool[r.ceUsed]
+		r.ceUsed++
+		*ce = ceState{callSt: ce.callSt[:0], exitGlb: ce.exitGlb[:0]}
+		r.ces[id] = ce
 	}
 	return r.ces[id]
 }
@@ -941,8 +1023,9 @@ func (r *sccpRun) feedCallHalf(ce *ir.Node, st []cell, sp *space) {
 	}
 	changed := !ces.hasCall
 	ces.hasCall = true
-	if ces.callSt == nil {
-		ces.callSt = cloneCells(st)
+	if !ces.callSet {
+		ces.callSt = append(ces.callSt[:0], st...)
+		ces.callSet = len(st) > 0
 		changed = true
 	} else if meetCells(ces.callSt, st) {
 		changed = true
@@ -958,16 +1041,16 @@ func (r *sccpRun) feedExitHalf(ce *ir.Node, st []cell, ret Value) {
 		return
 	}
 	changed := !ces.hasExit
-	ces.hasExit = true
-	if ces.exitGlb == nil {
-		ces.exitGlb = make([]cell, r.nGlob)
+	if !ces.hasExit {
+		ces.hasExit = true
+		ces.exitGlb = reset(ces.exitGlb, r.nGlob)
 		for g := range ces.exitGlb {
 			ces.exitGlb[g] = r.globalCell(st, g)
 		}
 		ces.ret = ret
-		changed = true
 	} else {
-		glb := make([]cell, r.nGlob)
+		r.store.glb = reset(r.store.glb, r.nGlob)
+		glb := r.store.glb
 		for g := range glb {
 			glb[g] = r.globalCell(st, g)
 		}
@@ -995,7 +1078,8 @@ func (r *sccpRun) recomputeCE(ce *ir.Node) {
 	if ces == nil || !ces.hasCall || !ces.hasExit {
 		return
 	}
-	merged := cloneCells(ces.callSt)
+	r.store.merged = append(r.store.merged[:0], ces.callSt...)
+	merged := r.store.merged
 	for g := 0; g < r.nGlob && g < len(merged) && g < len(ces.exitGlb); g++ {
 		merged[g] = ces.exitGlb[g]
 	}

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"icbe/internal/ir"
+	"icbe/internal/progs"
+	"icbe/internal/randprog"
 )
 
 // TestForeignLocalFrameSemantics pins the interpreter's frame semantics on
@@ -79,4 +81,41 @@ func TestForeignLocalFrameSemantics(t *testing.T) {
 	// starts from its own unwritten 0 and writes 100, and f(1)'s copy is
 	// still 101 after the call returns; main's own x stays 7.
 	wantOutput(t, res, 0, 101, 0, 100, 100, 101, 7)
+}
+
+// TestScopedDecode pins which programs take the decoded engine's fast
+// operand path: every compiled workload and generated program is scoped,
+// so its operands skip the owner check, while a foreign-local access or a
+// cross-procedure edge makes the whole program take the checked path.
+func TestScopedDecode(t *testing.T) {
+	srcs := []string{randprog.Recursion(1, randprog.RecConfig{}), randprog.Generate(3, randprog.Config{})}
+	for _, w := range progs.All() {
+		srcs = append(srcs, w.Source)
+	}
+	for i, src := range srcs {
+		p, err := ir.Build(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Prepare(p).scoped {
+			t.Errorf("program %d: valid program decoded unscoped", i)
+		}
+	}
+	p, err := ir.Build(`func f(n) { print(n); return n; } func main() { var x = 3; print(f(x)); print(x); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fprint, mprint *ir.Node
+	for _, n := range p.Nodes {
+		if n != nil && n.Kind == ir.NPrint && n.Proc == p.MainProc && mprint == nil {
+			mprint = n
+		}
+		if n != nil && n.Kind == ir.NPrint && n.Proc != p.MainProc && fprint == nil {
+			fprint = n
+		}
+	}
+	p.RedirectSucc(fprint.ID, fprint.Succs[0], mprint.ID)
+	if Prepare(p).scoped {
+		t.Error("cross-procedure edge decoded scoped")
+	}
 }

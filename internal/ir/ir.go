@@ -332,6 +332,13 @@ type Program struct {
 	nodePool []Node
 	edgePool []NodeID
 	varPool  []Var
+	// The blocks CloneInto copied this program into, reused when the
+	// program is recycled as a later clone's destination.
+	nodeBlock []Node
+	edgeBlock []NodeID
+	argBlock  []VarID
+	varBlock  []Var
+	procBlock []Proc
 }
 
 // newEdgeList returns an empty edge list with room for two entries carved

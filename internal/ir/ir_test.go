@@ -393,6 +393,58 @@ func TestCloneIsDeepAndEqual(t *testing.T) {
 	}
 }
 
+// TestCloneIntoRecycles copies programs into a recycled destination: the
+// copy equals a fresh Clone, reuses the destination's blocks when they are
+// large enough, leaves node headroom for NewNode, and shares nothing
+// mutable with the source.
+func TestCloneIntoRecycles(t *testing.T) {
+	big := build(t, `
+		var g;
+		func f(a, b) { if (a > b) { return a; } return b + g; }
+		func h(x) { var y = f(x, 3); var z = f(y, x); return y * z; }
+		func main() { var r = h(input()); print(r); print(f(r, 2)); }
+	`)
+	small := build(t, `func k(a) { return a + 1; } func main() { print(k(41)); }`)
+	dst := Clone(big)
+	// Damage the destination the way a vetoed restructuring would.
+	n := dst.NewNode(NNop, 0)
+	dst.AddEdge(n.ID, dst.Procs[0].Entries[0])
+	dst.Procs[0].Entries = append(dst.Procs[0].Entries, n.ID)
+	block := &dst.nodeBlock[0]
+
+	q := CloneInto(dst, small)
+	if q != dst {
+		t.Fatal("CloneInto did not reuse the destination")
+	}
+	if &q.nodeBlock[0] != block {
+		t.Error("node block reallocated although it was large enough")
+	}
+	if q.Dump() != small.Dump() || string(EncodeProgram(q)) != string(EncodeProgram(Clone(small))) {
+		t.Fatal("recycled copy differs from a fresh clone")
+	}
+	if err := Validate(q); err != nil {
+		t.Fatalf("recycled copy invalid: %v", err)
+	}
+	added := q.NewNode(NNop, 0)
+	if added != &q.nodeBlock[len(small.Nodes)] {
+		t.Error("NewNode did not draw from the clone's headroom")
+	}
+	before := small.Dump()
+	q.AddEdge(added.ID, q.Procs[0].Entries[0])
+	q.Procs[0].Entries = append(q.Procs[0].Entries, added.ID)
+	q.Nodes[q.Procs[0].Exits[0]].Preds[0] = 12345
+	q.Vars[0].Name = "mutated"
+	if small.Dump() != before {
+		t.Error("mutating the recycled copy changed its source")
+	}
+
+	// Growing back past the reused capacity still yields an exact copy.
+	r := CloneInto(q, big)
+	if r.Dump() != big.Dump() || string(EncodeProgram(r)) != string(EncodeProgram(Clone(big))) {
+		t.Fatal("regrown copy differs from a fresh clone")
+	}
+}
+
 func TestRedirectSuccPreservesBranchOrder(t *testing.T) {
 	p := build(t, `
 		func main() {

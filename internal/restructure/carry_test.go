@@ -125,11 +125,11 @@ func TestShadowOracleReusesAdoptedRuns(t *testing.T) {
 	o := newShadowOracle(verifyInputs(DriverOptions{}))
 	p0 := buildSafety(t)
 	p1 := ir.Clone(p0)
-	if f := o.verify(p0, p1, &stats); f != nil {
+	if f := o.verify(p0, 1, p1, 2, &stats); f != nil {
 		t.Fatalf("identity apply failed: %v", f)
 	}
-	o.adopt(p1)
-	if o.prog != p1 {
+	o.adopt(2)
+	if o.rev != 2 {
 		t.Fatal("adopt did not promote the verified clone's runs")
 	}
 	carried := make([]*interp.Result, len(o.runs))
@@ -141,7 +141,7 @@ func TestShadowOracleReusesAdoptedRuns(t *testing.T) {
 	}
 	p2 := ir.Clone(p1)
 	miscompilePrint(p2)
-	f := o.verify(p1, p2, &stats)
+	f := o.verify(p1, 2, p2, 3, &stats)
 	if f == nil || f.Kind != FailDiffMismatch {
 		t.Fatalf("carried baseline missed the miscompile: %v", f)
 	}
@@ -154,9 +154,10 @@ func TestShadowOracleReusesAdoptedRuns(t *testing.T) {
 	if want := len(o.inputs) + 1; stats.VerifyRuns != want {
 		t.Fatalf("VerifyRuns = %d, want %d (one per compared input)", stats.VerifyRuns, want)
 	}
-	// A rejected attempt's runs never become a baseline.
-	o.adopt(p1)
-	if o.prog != p1 || o.runs[0].res != carried[0] {
+	// A rejected attempt's runs never become a baseline, even when the
+	// driver adopts its revision number.
+	o.adopt(3)
+	if o.rev != 2 || o.runs[0].res != carried[0] {
 		t.Fatal("adopting the unchanged working program replaced its baseline")
 	}
 }
@@ -181,7 +182,7 @@ func TestCarryStepBudgetBoundary(t *testing.T) {
 	var stats DriverStats
 	p1 := buildSafety(t)
 	o := newShadowOracle(verifyInputs(DriverOptions{}))
-	o.prog, o.runs = p1, make([]shadowRun, len(o.inputs))
+	o.rev, o.runs = 1, make([]shadowRun, len(o.inputs))
 	for i := range o.runs {
 		res, _ := interp.Run(p1, interp.Options{Input: o.inputs[i]})
 		res.Steps = verifyMaxSteps + 1
@@ -189,7 +190,7 @@ func TestCarryStepBudgetBoundary(t *testing.T) {
 	}
 	p2 := ir.Clone(p1)
 	miscompilePrint(p2)
-	if f := o.verify(p1, p2, &stats); f != nil {
+	if f := o.verify(p1, 1, p2, 2, &stats); f != nil {
 		t.Fatalf("over-budget carried run was used as a baseline: %v", f)
 	}
 	if stats.VerifyRuns != len(o.inputs) {

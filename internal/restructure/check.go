@@ -20,45 +20,70 @@ var testHookCheckAnswers func(p *ir.Program, b ir.NodeID, ans analysis.AnswerSet
 // raises a finding the working program did not have. Like the shadow oracle
 // it gates transactionally — a veto discards the scratch clone — but it is
 // static: no inputs are run, so it also covers paths shadow vectors miss.
+//
+// Revisions are keyed by the driver's revision numbers, never by program
+// pointers, which recycling reuses.
 type checkGate struct {
-	stats *DriverStats
-	// prog/sccp cache the oracle for the current working program revision;
+	stats  *DriverStats
+	stores storePair
+	// sccp is the oracle for working revision rev, in the current store;
 	// baseline holds its per-pass invariant finding counts, the reference a
 	// scratch clone must not exceed.
-	prog     *ir.Program
+	rev      int
 	sccp     *check.SCCP
 	baseline map[string]int
 	// pending holds the scratch clone's report between the gate check and
 	// the driver's commit, so adoption reuses it instead of re-analyzing.
-	pendingProg     *ir.Program
+	// It lives in the spare store and is cleared by the next check.
+	pendingRev      int
 	pendingSCCP     *check.SCCP
 	pendingBaseline map[string]int
 }
 
+// storePair owns the SCCP storage of two invariant reports: the working
+// revision's and the current attempt's. An attempt analyzes into the spare
+// store; adopting it swaps the two, and a vetoed attempt's store is simply
+// the next attempt's spare. The check gate and the fold pass each keep one.
+type storePair struct {
+	stores [2]check.Store
+	cur    int
+}
+
+func (s *storePair) current() *check.Store { return &s.stores[s.cur] }
+func (s *storePair) spare() *check.Store   { return &s.stores[1-s.cur] }
+func (s *storePair) swap()                 { s.cur = 1 - s.cur }
+
 // newCheckGate analyzes the input working program and records its invariant
 // baseline.
-func newCheckGate(work *ir.Program, stats *DriverStats) *checkGate {
+func newCheckGate(work *ir.Program, rev int, stats *DriverStats) *checkGate {
 	g := &checkGate{stats: stats}
-	rep := g.analyze(work)
-	g.prog, g.sccp, g.baseline = work, rep.SCCP, rep.PerPass
+	rep := g.analyze(work, g.stores.current(), false)
+	g.rev, g.sccp, g.baseline = rev, rep.SCCP, rep.PerPass
 	stats.CheckFindingsPre = len(rep.Findings)
 	return g
 }
 
-func (g *checkGate) analyze(p *ir.Program) *check.Report {
+// analyze runs the invariant passes into the given store. validated
+// reports that the driver has just validated p, so the structure pass takes
+// that clean verdict instead of validating again.
+func (g *checkGate) analyze(p *ir.Program, st *check.Store, validated bool) *check.Report {
 	t0 := time.Now()
-	rep := check.AnalyzeInvariants(p)
+	var verdict error
+	if !validated {
+		verdict = ir.Validate(p)
+	}
+	rep := st.Invariants(p, verdict)
 	g.stats.CheckRuns++
 	g.stats.CheckWall += time.Since(t0)
 	return rep
 }
 
 // sccpFor returns the oracle for the given working-program revision,
-// recomputing the cache when the program changed under the gate.
-func (g *checkGate) sccpFor(p *ir.Program) *check.SCCP {
-	if g.prog != p {
-		rep := g.analyze(p)
-		g.prog, g.sccp, g.baseline = p, rep.SCCP, rep.PerPass
+// recomputing it when the program changed under the gate.
+func (g *checkGate) sccpFor(p *ir.Program, rev int) *check.SCCP {
+	if g.rev != rev {
+		rep := g.analyze(p, g.stores.current(), false)
+		g.rev, g.sccp, g.baseline = rev, rep.SCCP, rep.PerPass
 	}
 	return g.sccp
 }
@@ -66,12 +91,12 @@ func (g *checkGate) sccpFor(p *ir.Program) *check.SCCP {
 // crossCheck compares one analyzed conditional's root answer set against the
 // oracle before any restructuring is attempted. A disagreement is a
 // contained FailCheck: the conditional is refused, everything else proceeds.
-func (g *checkGate) crossCheck(work *ir.Program, cr *condResult) *BranchFailure {
+func (g *checkGate) crossCheck(work *ir.Program, rev int, cr *condResult) *BranchFailure {
 	ans := cr.rep.Answers
 	if testHookCheckAnswers != nil {
 		ans = testHookCheckAnswers(work, cr.b, ans)
 	}
-	verdict, cf := check.CrossCheck(work, g.sccpFor(work), cr.b, ans)
+	verdict, cf := check.CrossCheck(work, g.sccpFor(work, rev), cr.b, ans)
 	switch verdict {
 	case check.VerdictAgree:
 		g.stats.SCCPAgreements++
@@ -91,11 +116,13 @@ func (g *checkGate) crossCheck(work *ir.Program, cr *condResult) *BranchFailure 
 	return nil
 }
 
-// checkApply runs the invariant passes on the scratch clone and vetoes the
-// apply when any pass reports more findings than the working program's
-// baseline. On success the scratch report is stashed for adopt.
-func (g *checkGate) checkApply(scratch *ir.Program, cr *condResult) *BranchFailure {
-	rep := g.analyze(scratch)
+// checkApply runs the invariant passes on the scratch clone, which the
+// driver has just validated, and vetoes the apply when any pass reports more
+// findings than the working program's baseline. On success the scratch
+// report is stashed for adopt.
+func (g *checkGate) checkApply(scratch *ir.Program, rev int, cr *condResult) *BranchFailure {
+	g.pendingRev, g.pendingSCCP, g.pendingBaseline = 0, nil, nil
+	rep := g.analyze(scratch, g.stores.spare(), true)
 	// Registry order, not map order, so the reported pass is deterministic
 	// when several regress at once.
 	for _, p := range check.Passes() {
@@ -108,25 +135,38 @@ func (g *checkGate) checkApply(scratch *ir.Program, cr *condResult) *BranchFailu
 		return &BranchFailure{Kind: FailCheck, Cond: cr.b, Line: cr.rep.Line,
 			Msg: "restructured program raised " + pass + " finding: " + f.Msg}
 	}
-	g.pendingProg, g.pendingSCCP, g.pendingBaseline = scratch, rep.SCCP, rep.PerPass
+	g.pendingRev, g.pendingSCCP, g.pendingBaseline = rev, rep.SCCP, rep.PerPass
 	return nil
 }
 
 // adopt promotes the stashed scratch report to the gate's baseline when the
-// driver commits that clone as the new working program.
-func (g *checkGate) adopt(work *ir.Program) {
-	if g.pendingProg == work {
-		g.prog, g.sccp, g.baseline = work, g.pendingSCCP, g.pendingBaseline
+// driver commits that revision as the new working program; the store of the
+// superseded report becomes the next attempt's.
+func (g *checkGate) adopt(rev int) {
+	if g.pendingRev == rev {
+		g.stores.swap()
+		g.rev, g.sccp, g.baseline = rev, g.pendingSCCP, g.pendingBaseline
 	}
-	g.pendingProg, g.pendingSCCP, g.pendingBaseline = nil, nil, nil
+	g.pendingRev, g.pendingSCCP, g.pendingBaseline = 0, nil, nil
+}
+
+// report returns the gate's invariant report of the given working revision
+// without running the passes, or nil when the gate holds another revision.
+// The report borrows the gate's storage: it stays valid until the gate's
+// next analysis of a working revision.
+func (g *checkGate) report(rev int) *check.Report {
+	if g == nil || g.rev != rev {
+		return nil
+	}
+	return &check.Report{SCCP: g.sccp, PerPass: g.baseline}
 }
 
 // finish computes the end-of-run counters: the recall ratio (graded fraction
 // of the decided, non-vacuous claims), the residual metric (analyzable
 // branches of the final program the oracle still decides — branches ICBE
 // could have eliminated), and the residual invariant finding count.
-func (g *checkGate) finish(work *ir.Program) {
-	s := g.sccpFor(work)
+func (g *checkGate) finish(work *ir.Program, rev int) {
+	s := g.sccpFor(work, rev)
 	if g.stats.SCCPDecided > 0 {
 		g.stats.SCCPRecall = float64(g.stats.SCCPAgreements+g.stats.SCCPDisagreements) /
 			float64(g.stats.SCCPDecided)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"icbe/internal/analysis"
+	"icbe/internal/check"
 	"icbe/internal/ir"
 )
 
@@ -24,6 +25,11 @@ var (
 	testHookAnalyze    func(snapshot *ir.Program, b ir.NodeID)
 	testHookAfterApply func(scratch *ir.Program, cond ir.NodeID) error
 	testHookAfterFold  func(scratch *ir.Program, branch ir.NodeID) error
+	// testHookAdopted runs after every adopted apply or fold with the new
+	// working revision and the baselines the gates carry into the next
+	// attempt: the check report (nil with Check off) and the shadow runs
+	// (nil when no shadow oracle runs).
+	testHookAdopted func(work *ir.Program, baseline *check.Report, runs []shadowRun)
 )
 
 // DriverOptions configures the two-phase optimization driver.
@@ -178,10 +184,11 @@ type DriverStats struct {
 	// result (the analysis had visited a changed node).
 	Analyses   int
 	Reanalyses int
-	// Clones counts ir.Clone calls: one defensive clone of the input plus
-	// one per attempted restructuring. ClonesAvoided counts analyzed
-	// conditionals that needed no clone because no restructuring was
-	// attempted for them.
+	// Clones counts program copies: one defensive clone of the input plus
+	// one scratch clone per attempted restructuring or fold, whether the
+	// copy went into fresh storage or a recycled revision's. ClonesAvoided
+	// counts analyzed conditionals that needed no clone because no
+	// restructuring was attempted for them.
 	Clones        int
 	ClonesAvoided int
 	// Failures counts contained per-conditional failures by category; nil
@@ -364,12 +371,12 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	out.Stats.Workers = workers
 	out.Stats.SeedsInjected = seedsInjected
 
-	work := ir.Clone(p)
-	out.Stats.Clones = 1
+	var revs revisions
+	work, workRev := revs.clone(p, &out.Stats)
 
 	var gate *checkGate
 	if opts.Check {
-		gate = newCheckGate(work, &out.Stats)
+		gate = newCheckGate(work, workRev, &out.Stats)
 	}
 	// The fold pass shadow-executes every attempt even with Verify off, and
 	// shares the correlation rounds' carried baseline when both run.
@@ -410,8 +417,11 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 
 		// Phase 1: concurrent, read-only analysis of the whole batch
 		// against the immutable snapshot. One analyzer is shared so the
-		// MOD summaries are computed once per round.
-		results := analyzeBatch(ctx, work, batch, aopts, memo, opts, workers, &out.Stats)
+		// MOD summaries are computed once per round. The analysis results
+		// read the snapshot until the round ends, so it is the one
+		// superseded revision not recycled at once.
+		snapshot := work
+		results := analyzeBatch(ctx, snapshot, batch, aopts, memo, opts, workers, &out.Stats)
 
 		// Phase 2: serial application in batch order. dirty accumulates
 		// the nodes changed by restructurings applied this round; a later
@@ -463,7 +473,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 				// Static cross-check: a demand-driven answer contradicting
 				// the SCCP oracle refuses this conditional outright, before
 				// any restructuring is attempted.
-				if fail := gate.crossCheck(work, cr); fail != nil {
+				if fail := gate.crossCheck(work, workRev, cr); fail != nil {
 					cr.rep.Failure = fail
 					cr.rep.Err = fail
 					out.Stats.countFailure(fail.Kind)
@@ -483,28 +493,27 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 			// working program. This is the only place the driver clones
 			// after the initial defensive copy. Adopting the clone is the
 			// commit point; every earlier exit rolls back by discarding it.
-			scratch := ir.Clone(work)
-			out.Stats.Clones++
-			oc, declined, fail := applyOne(work, scratch, cr, opts, gate, shadow, &out.Stats)
+			scratch, scratchRev := revs.clone(work, &out.Stats)
+			oc, declined, fail := applyOne(work, workRev, scratch, scratchRev, cr, opts, gate, shadow, &out.Stats)
 			switch {
 			case fail != nil:
 				cr.rep.Failure = fail
 				cr.rep.Err = fail
 				out.Stats.countFailure(fail.Kind)
+				revs.recycle(scratch)
 			case declined != nil:
 				cr.rep.Err = declined
+				revs.recycle(scratch)
 			default:
 				cr.rep.Applied = true
 				cr.rep.Removed = oc.BranchCopiesRemoved
 				out.Optimized++
 				dirtyBits = markChanged(dirty, dirtyBits, work, scratch)
-				work = scratch
-				if gate != nil {
-					gate.adopt(work)
+				if work != snapshot {
+					revs.recycle(work)
 				}
-				if shadow != nil {
-					shadow.adopt(work)
-				}
+				work, workRev = scratch, scratchRev
+				adopted(work, workRev, gate, shadow)
 				// Requeue branch copies created as a side effect of this
 				// restructuring (including surviving copies of cr.b
 				// itself), in ID order for determinism.
@@ -524,6 +533,9 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 			// round's restructurings invalidated; the next round replays
 			// only records valid for its snapshot.
 			memo.Commit(dirty)
+		}
+		if work != snapshot {
+			revs.recycle(snapshot)
 		}
 		queue = append(append([]ir.NodeID(nil), overflow...), next...)
 	}
@@ -564,13 +576,67 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 		// decides but the correlation rounds left behind. Runs before
 		// gate.finish so the Check layer's end-of-run residual metric
 		// reflects the folded program.
-		work = runFoldPass(ctx, work, opts, shadow, out)
+		work, workRev = runFoldPass(ctx, work, workRev, opts, gate, shadow, &revs, out)
 	}
 	if gate != nil {
-		gate.finish(work)
+		gate.finish(work, workRev)
 	}
 	out.Program = work
 	return out
+}
+
+// revisions numbers a driver run's program revisions and recycles the dead
+// ones. Every scratch clone is a new revision; the gates key their carried
+// state by revision number, because a recycled program comes back as a
+// later scratch under the same pointer. The caller's input is never
+// recycled (it is only ever a clone source) and neither is the returned
+// program (it is never superseded).
+type revisions struct {
+	last int
+	free []*ir.Program
+}
+
+// maxFreeRevisions bounds the recycled programs kept for reuse. Every
+// attempt takes one, and between two attempts the driver frees at most two
+// (a vetoed scratch or a superseded working revision, and at a round's end
+// the round's snapshot), so a larger pool would only hold memory.
+const maxFreeRevisions = 2
+
+// clone copies src into a recycled program when one is free (a fresh one
+// otherwise) and numbers it; revision numbers start at 1.
+func (r *revisions) clone(src *ir.Program, stats *DriverStats) (*ir.Program, int) {
+	var dst *ir.Program
+	if n := len(r.free); n > 0 {
+		dst, r.free = r.free[n-1], r.free[:n-1]
+	}
+	stats.Clones++
+	r.last++
+	return ir.CloneInto(dst, src), r.last
+}
+
+// recycle hands a dead revision's storage to a later clone. Nothing may
+// read p afterwards.
+func (r *revisions) recycle(p *ir.Program) {
+	if len(r.free) < maxFreeRevisions {
+		r.free = append(r.free, p)
+	}
+}
+
+// adopted promotes the gates' pending state to the new working revision.
+func adopted(work *ir.Program, rev int, gate *checkGate, shadow *shadowOracle) {
+	if gate != nil {
+		gate.adopt(rev)
+	}
+	if shadow != nil {
+		shadow.adopt(rev)
+	}
+	if testHookAdopted != nil {
+		var runs []shadowRun
+		if shadow != nil {
+			runs = shadow.runsOf(rev)
+		}
+		testHookAdopted(work, gate.report(rev), runs)
+	}
 }
 
 // release returns a settled conditional's pooled analysis state. Everything
@@ -585,9 +651,11 @@ func release(cr *condResult) {
 // clone. It returns the outcome to commit, a graceful decline from
 // Eliminate, or a typed failure (panic, validation, shadow-oracle
 // violation) — in every non-commit case the caller simply discards the
-// scratch clone, which is the rollback.
-func applyOne(work, scratch *ir.Program, cr *condResult, opts DriverOptions,
-	gate *checkGate, shadow *shadowOracle, stats *DriverStats) (oc *Outcome, declined error, fail *BranchFailure) {
+// scratch clone, which is the rollback. The structural validation here is
+// the attempt's only one: Eliminate does not validate, and the check
+// gate's structure pass takes this verdict.
+func applyOne(work *ir.Program, workRev int, scratch *ir.Program, scratchRev int, cr *condResult,
+	opts DriverOptions, gate *checkGate, shadow *shadowOracle, stats *DriverStats) (oc *Outcome, declined error, fail *BranchFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			oc, declined = nil, nil
@@ -611,12 +679,12 @@ func applyOne(work, scratch *ir.Program, cr *condResult, opts DriverOptions,
 	if gate != nil {
 		// Static post-apply gate: the scratch clone must not regress any
 		// invariant lint pass over the working program's baseline.
-		if f := gate.checkApply(scratch, cr); f != nil {
+		if f := gate.checkApply(scratch, scratchRev, cr); f != nil {
 			return nil, nil, f
 		}
 	}
 	if opts.Verify {
-		if f := shadow.verify(work, scratch, stats); f != nil {
+		if f := shadow.verify(work, workRev, scratch, scratchRev, stats); f != nil {
 			f.Cond, f.Line = cr.b, cr.rep.Line
 			return nil, nil, f
 		}

@@ -24,13 +24,22 @@ import (
 // post-fold oracle re-check that vetoes any fold creating a residual that
 // was not there before. A veto discards the clone and counts a FailFold;
 // the working program is never replaced by a program that failed a gate.
-func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions,
-	shadow *shadowOracle, out *DriverResult) *ir.Program {
+//
+// The pass starts from the check gate's report of the working revision
+// when the gate holds one (computing it only with Check off), and keeps its
+// own store pair after that: the adopted revision's report and the next
+// attempt's.
+func runFoldPass(ctx context.Context, work *ir.Program, workRev int, opts DriverOptions,
+	gate *checkGate, shadow *shadowOracle, revs *revisions, out *DriverResult) (*ir.Program, int) {
 	t0 := time.Now()
 	stats := &out.Stats
 	defer func() { stats.FoldWall += time.Since(t0) }()
 
-	base := check.AnalyzeInvariants(work)
+	var stores storePair
+	base := gate.report(workRev)
+	if base == nil {
+		base = stores.current().Invariants(work, ir.Validate(work))
+	}
 	facts := fold.Compute(work, base.SCCP)
 	stats.SCCPResidualBefore = facts.Residual
 
@@ -71,9 +80,12 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions,
 				// driver's duplication budget still gates the estimate.
 				continue
 			}
-			scratch := ir.Clone(work)
-			stats.Clones++
-			redirected, changed, rep, fail := foldOne(work, scratch, bf, base, initiallyDead, shadow, stats)
+			scratch, scratchRev := revs.clone(work, stats)
+			redirected, changed, rep, fail := foldOne(work, workRev, scratch, scratchRev, bf, base,
+				stores.spare(), initiallyDead, shadow, stats)
+			if !changed || fail != nil {
+				revs.recycle(scratch)
+			}
 			if !changed {
 				continue
 			}
@@ -82,14 +94,19 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions,
 				stats.countFailure(fail.Kind)
 				continue
 			}
-			work = scratch
-			shadow.adopt(work)
+			revs.recycle(work)
+			work, workRev = scratch, scratchRev
+			stores.swap()
+			shadow.adopt(workRev)
 			stats.FoldApplied++
 			stats.FoldDuplicated += redirected
 			applied = true
 			budget--
 			// The attempt's own report was computed on this exact program.
 			base = rep
+			if testHookAdopted != nil {
+				testHookAdopted(work, base, shadow.runsOf(workRev))
+			}
 			facts = fold.Compute(work, base.SCCP)
 			break
 		}
@@ -102,16 +119,18 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions,
 		stats.FoldReduction = float64(stats.SCCPResidualBefore-stats.SCCPResidualAfter) /
 			float64(stats.SCCPResidualBefore)
 	}
-	return work
+	return work, workRev
 }
 
 // foldOne performs one transactional fold attempt on the scratch clone,
 // running the full gate sequence. Every non-nil failure means the caller
 // discards the clone — that is the rollback. changed is false when the
 // rewriter had nothing safe to do for this row (no attempt happened). On
-// success rep is the folded program's invariant report.
-func foldOne(work, scratch *ir.Program, bf *fold.BranchFact, base *check.Report,
-	initiallyDead map[ir.NodeID]bool, shadow *shadowOracle,
+// success rep is the folded program's invariant report, computed into st.
+// The structural validation here is the attempt's only one: the structure
+// pass takes its verdict.
+func foldOne(work *ir.Program, workRev int, scratch *ir.Program, scratchRev int, bf *fold.BranchFact,
+	base *check.Report, st *check.Store, initiallyDead map[ir.NodeID]bool, shadow *shadowOracle,
 	stats *DriverStats) (redirected int, changed bool, rep *check.Report, fail *BranchFailure) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -136,7 +155,7 @@ func foldOne(work, scratch *ir.Program, bf *fold.BranchFact, base *check.Report,
 		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: "folded program failed structural validation", Err: err}
 	}
-	rep = check.AnalyzeInvariants(scratch)
+	rep = st.Invariants(scratch, nil)
 	// Registry order, not map order, so the reported pass is deterministic
 	// when several regress at once.
 	for _, p := range check.Passes() {
@@ -149,7 +168,7 @@ func foldOne(work, scratch *ir.Program, bf *fold.BranchFact, base *check.Report,
 		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: "folded program raised " + pass + " finding: " + f.Msg}
 	}
-	if f := shadow.verify(work, scratch, stats); f != nil {
+	if f := shadow.verify(work, workRev, scratch, scratchRev, stats); f != nil {
 		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: "fold failed shadow verification (" + f.Kind.String() + "): " + f.Msg, Err: f.Err}
 	}

@@ -54,6 +54,8 @@ type Outcome struct {
 // Eliminate restructures the program to eliminate the analyzed conditional
 // along its correlated paths. The program is mutated in place; on error it
 // may be left inconsistent, so callers clone first and discard on failure.
+// Eliminate does not validate its result: callers run ir.Validate on the
+// restructured program (the driver does, as the apply's structural gate).
 func Eliminate(p *ir.Program, res *analysis.Result) (*Outcome, error) {
 	if res == nil {
 		return nil, fmt.Errorf("restructure: nil analysis result")
@@ -90,9 +92,6 @@ func Eliminate(p *ir.Program, res *analysis.Result) (*Outcome, error) {
 	}
 	r.eliminateConditional()
 	r.prune()
-	if err := ir.Validate(p); err != nil {
-		return nil, fmt.Errorf("restructure: produced invalid graph: %w", err)
-	}
 	r.out.BranchDescendants = make(map[ir.NodeID][]ir.NodeID)
 	p.LiveNodes(func(n *ir.Node) {
 		if n.Kind == ir.NBranch {

@@ -26,19 +26,26 @@ type shadowRun struct {
 // baseline. The pre-apply program of every attempt is the working program,
 // and the working program is always the post-apply program of the last
 // adopted attempt, so the oracle keeps that revision's runs (one per input)
-// and each attempt executes only its post-apply program. The runs of an
-// attempt that passes are held as pending until the driver adopts that
-// exact clone; a run of the working program happens at most once per
-// revision and only for inputs whose carried run is missing.
+// and each attempt executes only its post-apply program, decoded once
+// (interp.Prepare) for all inputs. The runs of an attempt that passes are
+// held as pending until the driver adopts that exact revision; a run of
+// the working program happens at most once per revision and only for
+// inputs whose carried run is missing.
+//
+// Revisions are keyed by the driver's revision numbers, not by program
+// pointers: the driver recycles dead programs as later scratch clones, so a
+// pointer can come back holding a different program.
 type shadowOracle struct {
 	inputs [][]int64
-	// runs holds one baseline run per input of revision prog.
-	prog *ir.Program
+	// runs holds one baseline run per input of revision rev, and dec that
+	// revision's decode once a missing run needed it.
+	rev  int
 	runs []shadowRun
-	// pendingProg/pending hold the runs of the last attempt that passed,
+	dec  *interp.Prepared
+	// pendingRev/pending hold the runs of the last attempt that passed,
 	// the baseline of the next revision if the driver adopts it.
-	pendingProg *ir.Program
-	pending     []shadowRun
+	pendingRev int
+	pending    []shadowRun
 }
 
 func newShadowOracle(inputs [][]int64) *shadowOracle {
@@ -47,12 +54,15 @@ func newShadowOracle(inputs [][]int64) *shadowOracle {
 
 // baseline returns the pre-apply program's run on input i, executing it
 // only when no carried run exists.
-func (o *shadowOracle) baseline(pre *ir.Program, i int) shadowRun {
-	if o.prog != pre {
-		o.prog, o.runs = pre, make([]shadowRun, len(o.inputs))
+func (o *shadowOracle) baseline(pre *ir.Program, preRev int, i int) shadowRun {
+	if o.rev != preRev {
+		o.rev, o.runs, o.dec = preRev, make([]shadowRun, len(o.inputs)), nil
 	}
 	if !o.runs[i].done {
-		res, err := interp.Run(pre, interp.Options{Input: o.inputs[i], MaxSteps: verifyMaxSteps})
+		if o.dec == nil {
+			o.dec = interp.Prepare(pre)
+		}
+		res, err := o.dec.Run(interp.Options{Input: o.inputs[i], MaxSteps: verifyMaxSteps})
 		o.runs[i] = shadowRun{done: true, res: res, err: err}
 	}
 	return o.runs[i]
@@ -76,13 +86,15 @@ func carry(res *interp.Result, err error) shadowRun {
 // behaviour must be preserved too — a run that faults must keep faulting,
 // with the same output prefix. The pre-apply side comes from the carried
 // baseline; VerifyRuns counts one comparison per input either way.
-func (o *shadowOracle) verify(pre, post *ir.Program, stats *DriverStats) *BranchFailure {
+func (o *shadowOracle) verify(pre *ir.Program, preRev int, post *ir.Program, postRev int, stats *DriverStats) *BranchFailure {
 	t0 := time.Now()
 	defer func() { stats.VerifyWall += time.Since(t0) }()
+	o.pendingRev, o.pending = 0, nil
+	postDec := interp.Prepare(post)
 	next := make([]shadowRun, len(o.inputs))
 	for i, in := range o.inputs {
 		stats.VerifyRuns++
-		base := o.baseline(pre, i)
+		base := o.baseline(pre, preRev, i)
 		preRes, preErr := base.res, base.err
 		if errors.Is(preErr, interp.ErrStepLimit) {
 			// The original program is too slow for the shadow budget on
@@ -93,7 +105,7 @@ func (o *shadowOracle) verify(pre, post *ir.Program, stats *DriverStats) *Branch
 		// even though operations never grow, so the post budget is the
 		// original's step count with generous slack rather than an equal
 		// bound.
-		postRes, postErr := interp.Run(post, interp.Options{Input: in, MaxSteps: 2*preRes.Steps + 4096})
+		postRes, postErr := postDec.Run(interp.Options{Input: in, MaxSteps: 2*preRes.Steps + 4096})
 		if errors.Is(postErr, interp.ErrStepLimit) {
 			return &BranchFailure{Kind: FailOpGrowth, Msg: fmt.Sprintf(
 				"shadow run exceeded its step budget on input %v (original: %d steps)", in, preRes.Steps)}
@@ -112,17 +124,26 @@ func (o *shadowOracle) verify(pre, post *ir.Program, stats *DriverStats) *Branch
 		}
 		next[i] = carry(postRes, postErr)
 	}
-	o.pendingProg, o.pending = post, next
+	o.pendingRev, o.pending = postRev, next
 	return nil
 }
 
-// adopt promotes the pending runs to the baseline when the driver commits
-// that clone as the new working program.
-func (o *shadowOracle) adopt(work *ir.Program) {
-	if o.pendingProg == work {
-		o.prog, o.runs = work, o.pending
+// runsOf returns the carried runs of the given revision, nil when the
+// oracle holds another one.
+func (o *shadowOracle) runsOf(rev int) []shadowRun {
+	if o.rev != rev {
+		return nil
 	}
-	o.pendingProg, o.pending = nil, nil
+	return o.runs
+}
+
+// adopt promotes the pending runs to the baseline when the driver commits
+// that revision as the new working program.
+func (o *shadowOracle) adopt(rev int) {
+	if o.pendingRev == rev {
+		o.rev, o.runs, o.dec = rev, o.pending, nil
+	}
+	o.pendingRev, o.pending = 0, nil
 }
 
 func firstErr(errs ...error) error {
