@@ -16,29 +16,73 @@ type procIndex struct {
 	// varSlot/varCount are ir.LocalSlots.
 	varSlot  []int32
 	varCount []int32
-	// reach is per-procedure structural reachability, computed on first use
-	// (see reachable).
-	reach []bool
+	// reach is per-procedure structural reachability, computed for one
+	// procedure at a time on first use (see reachableIn); reached marks the
+	// procedures it holds.
+	reach   []bool
+	reached []bool
+	// idMismatch records a live node whose ID is not its arena index
+	// (malformed programs only). Passes index reach by node ID, so such a
+	// node may read another procedure's bit, and every procedure is
+	// searched up front.
+	idMismatch, searchedAll bool
 }
 
-func newProcIndex(p *ir.Program) *procIndex {
-	ix := &procIndex{prog: p, nodes: make([][]*ir.Node, len(p.Procs)), pos: make([]int32, len(p.Nodes))}
+// newProcIndex builds the index into the store's storage. With a non-nil
+// only, just the procedures it marks get a group: a scoped run reads no
+// other procedure's nodes.
+func newProcIndex(p *ir.Program, only []bool, st *Store) *procIndex {
+	nProcs := len(p.Procs)
+	ix := &procIndex{prog: p}
+	st.ixPos = reset(st.ixPos, len(p.Nodes))
+	st.ixCounts = reset(st.ixCounts, nProcs)
+	ix.pos = st.ixPos
+	inScope := func(n *ir.Node) bool {
+		return n != nil && n.Proc >= 0 && n.Proc < nProcs && (only == nil || only[n.Proc])
+	}
+	grouped := 0
 	for i, n := range p.Nodes {
 		ix.pos[i] = -1
-		if n == nil || n.Proc < 0 || n.Proc >= len(p.Procs) {
-			continue
+		if n != nil && int(n.ID) != i {
+			ix.idMismatch = true
 		}
-		ix.pos[i] = int32(len(ix.nodes[n.Proc]))
-		ix.nodes[n.Proc] = append(ix.nodes[n.Proc], n)
+		if inScope(n) {
+			ix.pos[i] = st.ixCounts[n.Proc]
+			st.ixCounts[n.Proc]++
+			grouped++
+		}
 	}
-	ix.varSlot, ix.varCount = ir.LocalSlots(p)
+	st.ixNodes = reset(st.ixNodes, grouped)
+	st.ixGroups = reset(st.ixGroups, nProcs)
+	ix.nodes = st.ixGroups
+	off := 0
+	for k, c := range st.ixCounts {
+		ix.nodes[k] = st.ixNodes[off : off : off+int(c)]
+		off += int(c)
+	}
+	for _, n := range p.Nodes {
+		if inScope(n) {
+			ix.nodes[n.Proc] = append(ix.nodes[n.Proc], n)
+		}
+	}
+	if st.lay.sameLayout(p) {
+		ix.varSlot, ix.varCount = st.lay.local, st.lay.count
+	} else {
+		ix.varSlot, ix.varCount = ir.LocalSlots(p)
+	}
+	st.ixReach = reset(st.ixReach, len(p.Nodes))
+	st.ixReached = reset(st.ixReached, nProcs)
+	ix.reach, ix.reached = st.ixReach, st.ixReached
 	return ix
 }
 
 // index returns the context's procedure index, building it on first use.
 func (cx *Context) index() *procIndex {
 	if cx.idx == nil {
-		cx.idx = newProcIndex(cx.Prog)
+		if cx.store == nil {
+			cx.store = new(Store)
+		}
+		cx.idx = newProcIndex(cx.Prog, cx.only, cx.store)
 	}
 	return cx.idx
 }
@@ -68,42 +112,61 @@ func (ix *procIndex) varPos(v ir.VarID, proc int) (int, bool) {
 	return int(ix.varSlot[v]), true
 }
 
-// reachable returns per-procedure structural reachability as one dense
-// bitmap over node IDs: reach[n] reports whether n is reachable from the
-// entries of its own procedure by a BFS over same-procedure successor
-// edges. That is exactly the rule restructure's pruning uses, so a node
-// outside the set after an apply is a node pruning should have removed. An
-// entry listed under another procedure seeds that procedure's search
-// without counting as reached for its own.
-func (ix *procIndex) reachable() []bool {
-	if ix.reach != nil {
+// reachableIn returns structural reachability as a dense bitmap over node
+// IDs, valid for the nodes of procedure proc: reach[n] reports whether n is
+// reachable from the entries of its own procedure by a BFS over
+// same-procedure successor edges. That is exactly the rule restructure's
+// pruning uses, so a node outside the set after an apply is a node pruning
+// should have removed. The search seeds from the entries of every
+// procedure indexed proc; an entry listed under a procedure but owned by
+// another seeds the listing procedure's search without counting as reached
+// for its own. Each procedure is searched once per index, so a scoped run
+// searches only its procedures.
+func (ix *procIndex) reachableIn(proc int) []bool {
+	if ix.idMismatch {
+		if !ix.searchedAll {
+			ix.searchedAll = true
+			for _, pr := range ix.prog.Procs {
+				if pr != nil {
+					ix.search(pr)
+				}
+			}
+		}
 		return ix.reach
 	}
-	p := ix.prog
-	ix.reach = make([]bool, len(p.Nodes))
-	var stack []ir.NodeID
-	for _, pr := range p.Procs {
-		if pr == nil {
-			continue
-		}
-		for _, e := range pr.Entries {
-			en := p.Node(e)
-			if en == nil {
-				continue
-			}
-			if en.Proc != pr.Index {
-				stack = ix.visitSuccs(en, pr.Index, stack)
-			} else if !ix.reach[e] {
-				ix.reach[e] = true
-				stack = append(stack, e)
-			}
-		}
-		for len(stack) > 0 {
-			n := p.Node(stack[len(stack)-1])
-			stack = ix.visitSuccs(n, pr.Index, stack[:len(stack)-1])
+	if proc < 0 || proc >= len(ix.reached) || ix.reached[proc] {
+		return ix.reach
+	}
+	ix.reached[proc] = true
+	for _, pr := range ix.prog.Procs {
+		if pr != nil && pr.Index == proc {
+			ix.search(pr)
 		}
 	}
 	return ix.reach
+}
+
+// search marks everything reachable from pr's entries within procedure
+// pr.Index.
+func (ix *procIndex) search(pr *ir.Proc) {
+	p := ix.prog
+	var stack []ir.NodeID
+	for _, e := range pr.Entries {
+		en := p.Node(e)
+		if en == nil {
+			continue
+		}
+		if en.Proc != pr.Index {
+			stack = ix.visitSuccs(en, pr.Index, stack)
+		} else if !ix.reach[e] {
+			ix.reach[e] = true
+			stack = append(stack, e)
+		}
+	}
+	for len(stack) > 0 {
+		n := p.Node(stack[len(stack)-1])
+		stack = ix.visitSuccs(n, pr.Index, stack[:len(stack)-1])
+	}
 }
 
 // visitSuccs marks and pushes n's unvisited successors in procedure proc.

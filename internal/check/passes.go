@@ -53,27 +53,46 @@ func flattenErrors(err error) []error {
 	return []error{err}
 }
 
+// procPass is an invariant pass whose findings decompose by procedure:
+// runProc reports the findings of the procedure at position i of the
+// procedure table, reading only that procedure's nodes and record, and the
+// whole-program Run is the concatenation over every procedure. The check
+// gate re-runs such a pass only on the procedures an attempt changed.
+type procPass interface {
+	Pass
+	runProc(cx *Context, i int) []Finding
+}
+
+// runEachProc is a procedure pass's whole-program run.
+func runEachProc(cx *Context, pp procPass) []Finding {
+	var out []Finding
+	for i := range cx.Prog.Procs {
+		out = append(out, pp.runProc(cx, i)...)
+	}
+	return out
+}
+
 // unreachablePass flags live nodes not reachable from their procedure's
 // entries. Lowering never emits them and restructuring prunes them, so one
 // left behind means a restructuring kept dead code alive (or wired a split
 // copy to nothing).
 type unreachablePass struct{}
 
-func (unreachablePass) Name() string { return "unreachable-node" }
-func (unreachablePass) Kind() Kind   { return Invariant }
-func (unreachablePass) Run(cx *Context) []Finding {
+func (unreachablePass) Name() string                { return "unreachable-node" }
+func (unreachablePass) Kind() Kind                  { return Invariant }
+func (u unreachablePass) Run(cx *Context) []Finding { return runEachProc(cx, u) }
+func (unreachablePass) runProc(cx *Context, i int) []Finding {
+	pr := cx.Prog.Procs[i]
+	if pr == nil {
+		return nil
+	}
 	ix := cx.index()
-	reach := ix.reachable()
+	reach := ix.reachableIn(pr.Index)
 	var out []Finding
-	for _, pr := range cx.Prog.Procs {
-		if pr == nil {
-			continue
-		}
-		for _, n := range ix.procNodes(pr.Index) {
-			if !reach[n.ID] {
-				out = append(out, Finding{Pass: "unreachable-node", Node: n.ID, Line: n.Line,
-					Msg: fmt.Sprintf("node (%s) unreachable from proc %q entries", n.Kind, pr.Name)})
-			}
+	for _, n := range ix.procNodes(pr.Index) {
+		if !reach[n.ID] {
+			out = append(out, Finding{Pass: "unreachable-node", Node: n.ID, Line: n.Line,
+				Msg: fmt.Sprintf("node (%s) unreachable from proc %q entries", n.Kind, pr.Name)})
 		}
 	}
 	return out
@@ -86,36 +105,36 @@ func (unreachablePass) Run(cx *Context) []Finding {
 // use from its defining assignment.
 type useBeforeDefPass struct{}
 
-func (useBeforeDefPass) Name() string { return "use-before-def" }
-func (useBeforeDefPass) Kind() Kind   { return Invariant }
-func (useBeforeDefPass) Run(cx *Context) []Finding {
+func (useBeforeDefPass) Name() string                { return "use-before-def" }
+func (useBeforeDefPass) Kind() Kind                  { return Invariant }
+func (u useBeforeDefPass) Run(cx *Context) []Finding { return runEachProc(cx, u) }
+func (useBeforeDefPass) runProc(cx *Context, i int) []Finding {
+	pr := cx.Prog.Procs[i]
+	if pr == nil {
+		return nil
+	}
 	ix := cx.index()
-	reach := ix.reachable()
+	reach := ix.reachableIn(pr.Index)
+	af := analyzeAssignments(ix, pr.Index)
 	var out []Finding
-	for _, pr := range cx.Prog.Procs {
-		if pr == nil {
-			continue
+	for i, n := range af.nodes {
+		if !reach[n.ID] {
+			continue // unreachable nodes are the unreachable-node pass's finding
 		}
-		af := analyzeAssignments(ix, pr.Index)
-		for i, n := range af.nodes {
-			if !reach[n.ID] {
-				continue // unreachable nodes are the unreachable-node pass's finding
+		var reportedHere []ir.VarID
+		forEachRead(n, func(v ir.VarID) {
+			may, owned := af.maybeAssignedAt(i, v)
+			if !owned || may || slices.Contains(reportedHere, v) {
+				return
 			}
-			var reportedHere []ir.VarID
-			forEachRead(n, func(v ir.VarID) {
-				may, owned := af.maybeAssignedAt(i, v)
-				if !owned || may || slices.Contains(reportedHere, v) {
-					return
-				}
-				reportedHere = append(reportedHere, v)
-				name := fmt.Sprintf("v%d", int(v))
-				if v >= 0 && int(v) < len(cx.Prog.Vars) && cx.Prog.Vars[v] != nil {
-					name = cx.Prog.Vars[v].Name
-				}
-				out = append(out, Finding{Pass: "use-before-def", Node: n.ID, Line: n.Line,
-					Msg: fmt.Sprintf("%q read before any assignment", name)})
-			})
-		}
+			reportedHere = append(reportedHere, v)
+			name := fmt.Sprintf("v%d", int(v))
+			if v >= 0 && int(v) < len(cx.Prog.Vars) && cx.Prog.Vars[v] != nil {
+				name = cx.Prog.Vars[v].Name
+			}
+			out = append(out, Finding{Pass: "use-before-def", Node: n.ID, Line: n.Line,
+				Msg: fmt.Sprintf("%q read before any assignment", name)})
+		})
 	}
 	return out
 }

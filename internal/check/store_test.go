@@ -67,7 +67,7 @@ func TestStoreReuseMatchesFresh(t *testing.T) {
 		got, want := st.RunSCCP(p), RunSCCP(p)
 		if got.saturated != want.saturated || !reflect.DeepEqual(got.in, want.in) ||
 			!reflect.DeepEqual(got.exec, want.exec) || !reflect.DeepEqual(got.ceRet, want.ceRet) ||
-			!reflect.DeepEqual(got.summary, want.summary) || !reflect.DeepEqual(got.mustFail, want.mustFail) {
+			!reflect.DeepEqual(got.summaries(), want.summaries()) || !reflect.DeepEqual(got.mustFail, want.mustFail) {
 			t.Fatalf("program %d: stored run differs from a fresh run", i)
 		}
 	}

@@ -3,7 +3,9 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // VarName returns a readable name for a variable id.
@@ -77,55 +79,159 @@ func (p *Program) rhsString(r RHS) string {
 	return r.Kind.String()
 }
 
+// procGroups holds the live nodes grouped by owning procedure, in arena
+// order, built in one pass over the arena. Procedures indexed outside the
+// procedure table (malformed programs only) fall back to ProcNodes.
+type procGroups struct {
+	p      *Program
+	groups [][]*Node
+}
+
+func groupByProc(p *Program) procGroups {
+	counts := make([]int, len(p.Procs))
+	live := 0
+	for _, n := range p.Nodes {
+		if n != nil && n.Proc >= 0 && n.Proc < len(counts) {
+			counts[n.Proc]++
+			live++
+		}
+	}
+	all := make([]*Node, live)
+	g := procGroups{p: p, groups: make([][]*Node, len(p.Procs))}
+	off := 0
+	for i, c := range counts {
+		g.groups[i] = all[off : off : off+c]
+		off += c
+	}
+	for _, n := range p.Nodes {
+		if n != nil && n.Proc >= 0 && n.Proc < len(counts) {
+			g.groups[n.Proc] = append(g.groups[n.Proc], n)
+		}
+	}
+	return g
+}
+
+func (g procGroups) of(proc int) []*Node {
+	if proc >= 0 && proc < len(g.groups) {
+		return g.groups[proc]
+	}
+	return g.p.ProcNodes(proc)
+}
+
+// appendPadded appends s left-justified in a field of width runes.
+func appendPadded(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+func idsIncreasing(nodes []*Node) bool {
+	for i := 1; i < len(nodes); i++ {
+		if nodes[i].ID <= nodes[i-1].ID {
+			return false
+		}
+	}
+	return true
+}
+
+// appendIDs appends ids in fmt's %v list form: [1 2 3].
+func appendIDs(b []byte, ids []NodeID) []byte {
+	b = append(b, '[')
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, ']')
+}
+
 // Dump renders the whole ICFG as text, one procedure at a time, nodes in ID
 // order with their successor lists.
 func (p *Program) Dump() string {
-	var sb strings.Builder
+	g := groupByProc(p)
+	var b []byte
 	for _, pr := range p.Procs {
-		fmt.Fprintf(&sb, "proc %s (entries %v, exits %v)\n", pr.Name, pr.Entries, pr.Exits)
-		nodes := p.ProcNodes(pr.Index)
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+		b = append(b, "proc "...)
+		b = append(b, pr.Name...)
+		b = append(b, " (entries "...)
+		b = appendIDs(b, pr.Entries)
+		b = append(b, ", exits "...)
+		b = appendIDs(b, pr.Exits)
+		b = append(b, ")\n"...)
+		nodes := g.of(pr.Index)
+		if !idsIncreasing(nodes) {
+			// Only malformed programs hold IDs out of arena order.
+			nodes = append([]*Node(nil), nodes...)
+			sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+		}
 		for _, n := range nodes {
-			succs := make([]string, len(n.Succs))
-			for i, s := range n.Succs {
-				succs[i] = fmt.Sprintf("%d", s)
+			b = append(b, "  n"...)
+			start := len(b)
+			b = strconv.AppendInt(b, int64(n.ID), 10)
+			for len(b)-start < 4 {
+				b = append(b, ' ')
 			}
-			fmt.Fprintf(&sb, "  n%-4d %-40s -> [%s]\n", n.ID, p.NodeString(n), strings.Join(succs, " "))
+			b = append(b, ' ')
+			b = appendPadded(b, p.NodeString(n), 40)
+			b = append(b, " -> ["...)
+			for i, s := range n.Succs {
+				if i > 0 {
+					b = append(b, ' ')
+				}
+				b = strconv.AppendInt(b, int64(s), 10)
+			}
+			b = append(b, "]\n"...)
 		}
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Dot renders the ICFG in Graphviz dot format (for debugging).
 func (p *Program) Dot() string {
-	var sb strings.Builder
-	sb.WriteString("digraph icfg {\n  node [shape=box fontname=monospace];\n")
+	g := groupByProc(p)
+	b := []byte("digraph icfg {\n  node [shape=box fontname=monospace];\n")
 	for _, pr := range p.Procs {
-		fmt.Fprintf(&sb, "  subgraph cluster_%d { label=%q;\n", pr.Index, pr.Name)
-		for _, n := range p.ProcNodes(pr.Index) {
-			shape := ""
+		b = append(b, "  subgraph cluster_"...)
+		b = strconv.AppendInt(b, int64(pr.Index), 10)
+		b = append(b, " { label="...)
+		b = strconv.AppendQuote(b, pr.Name)
+		b = append(b, ";\n"...)
+		for _, n := range g.of(pr.Index) {
+			b = append(b, "    n"...)
+			b = strconv.AppendInt(b, int64(n.ID), 10)
+			b = append(b, " [label=\""...)
+			b = strconv.AppendInt(b, int64(n.ID), 10)
+			b = append(b, ": "...)
+			b = append(b, escapeDot(p.NodeString(n))...)
+			b = append(b, '"')
 			if n.Kind == NBranch {
-				shape = " shape=diamond"
+				b = append(b, " shape=diamond"...)
 			}
-			fmt.Fprintf(&sb, "    n%d [label=\"%d: %s\"%s];\n", n.ID, n.ID, escapeDot(p.NodeString(n)), shape)
+			b = append(b, "];\n"...)
 		}
-		sb.WriteString("  }\n")
+		b = append(b, "  }\n"...)
 	}
 	p.LiveNodes(func(n *Node) {
 		for i, s := range n.Succs {
-			label := ""
+			b = append(b, "  n"...)
+			b = strconv.AppendInt(b, int64(n.ID), 10)
+			b = append(b, " -> n"...)
+			b = strconv.AppendInt(b, int64(s), 10)
 			if n.Kind == NBranch {
 				if i == 0 {
-					label = " [label=T]"
+					b = append(b, " [label=T]"...)
 				} else {
-					label = " [label=F]"
+					b = append(b, " [label=F]"...)
 				}
 			}
-			fmt.Fprintf(&sb, "  n%d -> n%d%s;\n", n.ID, s, label)
+			b = append(b, ";\n"...)
 		}
 	})
-	sb.WriteString("}\n")
-	return sb.String()
+	b = append(b, "}\n"...)
+	return string(b)
 }
 
 func escapeDot(s string) string {

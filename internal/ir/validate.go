@@ -14,7 +14,9 @@ func Validate(p *Program) error {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 
-	// Arena consistency and edge symmetry.
+	// Arena consistency and edge symmetry. procNodes counts each in-range
+	// procedure's live nodes for the entry check below.
+	procNodes := make([]int, len(p.Procs))
 	for i, n := range p.Nodes {
 		if n == nil {
 			continue
@@ -26,6 +28,7 @@ func Validate(p *Program) error {
 			bad("node %d has invalid proc %d", n.ID, n.Proc)
 			continue
 		}
+		procNodes[n.Proc]++
 		for _, s := range n.Succs {
 			sn := p.Node(s)
 			if sn == nil {
@@ -234,7 +237,7 @@ func Validate(p *Program) error {
 		if pr == nil {
 			continue
 		}
-		if len(pr.Entries) == 0 && len(p.ProcNodes(pr.Index)) > 0 {
+		if len(pr.Entries) == 0 && procHasNodes(p, procNodes, pr.Index) {
 			bad("proc %q has nodes but no entries", pr.Name)
 		}
 		seenEntry := make(map[NodeID]bool)
@@ -283,6 +286,20 @@ func Validate(p *Program) error {
 	}
 
 	return errors.Join(errs...)
+}
+
+// procHasNodes reports whether procedure proc owns a live node, from the
+// per-procedure counts when proc is in range and by a scan otherwise.
+func procHasNodes(p *Program, counts []int, proc int) bool {
+	if proc >= 0 && proc < len(counts) {
+		return counts[proc] > 0
+	}
+	for _, n := range p.Nodes {
+		if n != nil && n.Proc == proc {
+			return true
+		}
+	}
+	return false
 }
 
 func procName(p *Program, i int) string {

@@ -125,7 +125,7 @@ func TestShadowOracleReusesAdoptedRuns(t *testing.T) {
 	o := newShadowOracle(verifyInputs(DriverOptions{}))
 	p0 := buildSafety(t)
 	p1 := ir.Clone(p0)
-	if f := o.verify(p0, 1, p1, 2, &stats); f != nil {
+	if f := o.verify(p0, 1, p1, 2, nil, &stats); f != nil {
 		t.Fatalf("identity apply failed: %v", f)
 	}
 	o.adopt(2)
@@ -141,7 +141,7 @@ func TestShadowOracleReusesAdoptedRuns(t *testing.T) {
 	}
 	p2 := ir.Clone(p1)
 	miscompilePrint(p2)
-	f := o.verify(p1, 2, p2, 3, &stats)
+	f := o.verify(p1, 2, p2, 3, nil, &stats)
 	if f == nil || f.Kind != FailDiffMismatch {
 		t.Fatalf("carried baseline missed the miscompile: %v", f)
 	}
@@ -190,7 +190,7 @@ func TestCarryStepBudgetBoundary(t *testing.T) {
 	}
 	p2 := ir.Clone(p1)
 	miscompilePrint(p2)
-	if f := o.verify(p1, 1, p2, 2, &stats); f != nil {
+	if f := o.verify(p1, 1, p2, 2, nil, &stats); f != nil {
 		t.Fatalf("over-budget carried run was used as a baseline: %v", f)
 	}
 	if stats.VerifyRuns != len(o.inputs) {

@@ -375,8 +375,13 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	work, workRev := revs.clone(p, &out.Stats)
 
 	var gate *checkGate
+	// workValid records that the working revision passed ir.Validate: the
+	// input when the check gate validated it, and every adopted revision.
+	// Attempts on a working revision not known valid are not scoped.
+	workValid := false
 	if opts.Check {
 		gate = newCheckGate(work, workRev, &out.Stats)
+		workValid = gate.inputValid
 	}
 	// The fold pass shadow-executes every attempt even with Verify off, and
 	// shares the correlation rounds' carried baseline when both run.
@@ -403,8 +408,10 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	}
 	// dirtyBits mirrors each round's dirty map as a bitset so the
 	// visited-dirty intersection is a word-wise AND against the analysis'
-	// visited bitset; the backing array is reused across rounds.
+	// visited bitset; the backing array is reused across rounds. diff is
+	// every attempt's revDiff storage.
 	var dirtyBits []uint64
+	var diff revDiff
 
 	for len(queue) > 0 && budget > 0 && ctx.Err() == nil {
 		batch := queue
@@ -494,7 +501,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 			// after the initial defensive copy. Adopting the clone is the
 			// commit point; every earlier exit rolls back by discarding it.
 			scratch, scratchRev := revs.clone(work, &out.Stats)
-			oc, declined, fail := applyOne(work, workRev, scratch, scratchRev, cr, opts, gate, shadow, &out.Stats)
+			oc, declined, fail := applyOne(work, workRev, workValid, scratch, scratchRev, &diff, cr, opts, gate, shadow, &out.Stats)
 			switch {
 			case fail != nil:
 				cr.rep.Failure = fail
@@ -508,11 +515,11 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 				cr.rep.Applied = true
 				cr.rep.Removed = oc.BranchCopiesRemoved
 				out.Optimized++
-				dirtyBits = markChanged(dirty, dirtyBits, work, scratch)
+				dirtyBits = markDirty(dirty, dirtyBits, &diff, scratch)
 				if work != snapshot {
 					revs.recycle(work)
 				}
-				work, workRev = scratch, scratchRev
+				work, workRev, workValid = scratch, scratchRev, true
 				adopted(work, workRev, gate, shadow)
 				// Requeue branch copies created as a side effect of this
 				// restructuring (including surviving copies of cr.b
@@ -576,7 +583,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 		// decides but the correlation rounds left behind. Runs before
 		// gate.finish so the Check layer's end-of-run residual metric
 		// reflects the folded program.
-		work, workRev = runFoldPass(ctx, work, workRev, opts, gate, shadow, &revs, out)
+		work, workRev = runFoldPass(ctx, work, workRev, workValid, opts, gate, shadow, &revs, out)
 	}
 	if gate != nil {
 		gate.finish(work, workRev)
@@ -653,9 +660,12 @@ func release(cr *condResult) {
 // violation) — in every non-commit case the caller simply discards the
 // scratch clone, which is the rollback. The structural validation here is
 // the attempt's only one: Eliminate does not validate, and the check
-// gate's structure pass takes this verdict.
-func applyOne(work *ir.Program, workRev int, scratch *ir.Program, scratchRev int, cr *condResult,
-	opts DriverOptions, gate *checkGate, shadow *shadowOracle, stats *DriverStats) (oc *Outcome, declined error, fail *BranchFailure) {
+// gate's structure pass takes this verdict. The attempt's diff against the
+// working revision (workValid: it passed ir.Validate) is computed into
+// diff once the scratch validated, scopes both gates, and on commit is the
+// caller's dirty set.
+func applyOne(work *ir.Program, workRev int, workValid bool, scratch *ir.Program, scratchRev int, diff *revDiff,
+	cr *condResult, opts DriverOptions, gate *checkGate, shadow *shadowOracle, stats *DriverStats) (oc *Outcome, declined error, fail *BranchFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			oc, declined = nil, nil
@@ -676,15 +686,16 @@ func applyOne(work *ir.Program, workRev int, scratch *ir.Program, scratchRev int
 		return nil, nil, &BranchFailure{Kind: FailValidate, Cond: cr.b, Line: cr.rep.Line,
 			Msg: "restructured program failed structural validation", Err: err}
 	}
+	diff.compute(work, scratch, workValid)
 	if gate != nil {
 		// Static post-apply gate: the scratch clone must not regress any
 		// invariant lint pass over the working program's baseline.
-		if f := gate.checkApply(scratch, scratchRev, cr); f != nil {
+		if f := gate.checkApply(scratch, scratchRev, workRev, diff, cr); f != nil {
 			return nil, nil, f
 		}
 	}
 	if opts.Verify {
-		if f := shadow.verify(work, workRev, scratch, scratchRev, stats); f != nil {
+		if f := shadow.verify(work, workRev, scratch, scratchRev, diff, stats); f != nil {
 			f.Cond, f.Line = cr.b, cr.rep.Line
 			return nil, nil, f
 		}
@@ -839,32 +850,9 @@ func visitedDirty(res *analysis.Result, dirty map[ir.NodeID]bool, dirtyBits []ui
 	return false
 }
 
-// markChanged records every node that differs between the pre- and
-// post-restructuring programs: created, deleted, retyped, or re-wired nodes
-// all count, so a snapshot analysis that visited none of them would compute
-// the same result on the new program (its demand-driven traversal can only
-// reach changed program parts through a changed node). Changed nodes are
-// recorded twice — in the dirty map (consumed by the memo Commit) and in
-// the dirty bitset (consumed by visitedDirty) — and the grown bitset is
-// returned.
-func markChanged(dirty map[ir.NodeID]bool, dirtyBits []uint64, before, after *ir.Program) []uint64 {
-	words := (len(after.Nodes) + 63) / 64
-	for len(dirtyBits) < words {
-		dirtyBits = append(dirtyBits, 0)
-	}
-	for i, bn := range after.Nodes {
-		var an *ir.Node
-		if i < len(before.Nodes) {
-			an = before.Nodes[i]
-		}
-		if nodeChanged(an, bn) {
-			dirty[ir.NodeID(i)] = true
-			dirtyBits[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	return dirtyBits
-}
-
+// nodeChanged reports whether a node differs between two revisions (nil
+// for a node absent from one): created, deleted, retyped and re-wired
+// nodes all count.
 func nodeChanged(a, b *ir.Node) bool {
 	if (a == nil) != (b == nil) {
 		return true

@@ -28,8 +28,10 @@ import (
 // The pass starts from the check gate's report of the working revision
 // when the gate holds one (computing it only with Check off), and keeps its
 // own store pair after that: the adopted revision's report and the next
-// attempt's.
-func runFoldPass(ctx context.Context, work *ir.Program, workRev int, opts DriverOptions,
+// attempt's. Like the correlation applies, each attempt's diff against the
+// working revision (workValid: it passed ir.Validate) scopes the
+// procedure passes and the shadow decode.
+func runFoldPass(ctx context.Context, work *ir.Program, workRev int, workValid bool, opts DriverOptions,
 	gate *checkGate, shadow *shadowOracle, revs *revisions, out *DriverResult) (*ir.Program, int) {
 	t0 := time.Now()
 	stats := &out.Stats
@@ -38,8 +40,11 @@ func runFoldPass(ctx context.Context, work *ir.Program, workRev int, opts Driver
 	var stores storePair
 	base := gate.report(workRev)
 	if base == nil {
-		base = stores.current().Invariants(work, ir.Validate(work))
+		verdict := ir.Validate(work)
+		workValid = verdict == nil
+		base = stores.current().Invariants(work, verdict)
 	}
+	var diff revDiff
 	facts := fold.Compute(work, base.SCCP)
 	stats.SCCPResidualBefore = facts.Residual
 
@@ -81,7 +86,7 @@ func runFoldPass(ctx context.Context, work *ir.Program, workRev int, opts Driver
 				continue
 			}
 			scratch, scratchRev := revs.clone(work, stats)
-			redirected, changed, rep, fail := foldOne(work, workRev, scratch, scratchRev, bf, base,
+			redirected, changed, rep, fail := foldOne(work, workRev, workValid, scratch, scratchRev, &diff, bf, base,
 				stores.spare(), initiallyDead, shadow, stats)
 			if !changed || fail != nil {
 				revs.recycle(scratch)
@@ -95,7 +100,7 @@ func runFoldPass(ctx context.Context, work *ir.Program, workRev int, opts Driver
 				continue
 			}
 			revs.recycle(work)
-			work, workRev = scratch, scratchRev
+			work, workRev, workValid = scratch, scratchRev, true
 			stores.swap()
 			shadow.adopt(workRev)
 			stats.FoldApplied++
@@ -128,10 +133,11 @@ func runFoldPass(ctx context.Context, work *ir.Program, workRev int, opts Driver
 // rewriter had nothing safe to do for this row (no attempt happened). On
 // success rep is the folded program's invariant report, computed into st.
 // The structural validation here is the attempt's only one: the structure
-// pass takes its verdict.
-func foldOne(work *ir.Program, workRev int, scratch *ir.Program, scratchRev int, bf *fold.BranchFact,
-	base *check.Report, st *check.Store, initiallyDead map[ir.NodeID]bool, shadow *shadowOracle,
-	stats *DriverStats) (redirected int, changed bool, rep *check.Report, fail *BranchFailure) {
+// pass takes its verdict. The attempt's diff, computed into diff once the
+// scratch validated, scopes the procedure passes and the shadow decode.
+func foldOne(work *ir.Program, workRev int, workValid bool, scratch *ir.Program, scratchRev int, diff *revDiff,
+	bf *fold.BranchFact, base *check.Report, st *check.Store, initiallyDead map[ir.NodeID]bool,
+	shadow *shadowOracle, stats *DriverStats) (redirected int, changed bool, rep *check.Report, fail *BranchFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The scratch may be arbitrarily damaged; report the attempt and
@@ -155,20 +161,13 @@ func foldOne(work *ir.Program, workRev int, scratch *ir.Program, scratchRev int,
 		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: "folded program failed structural validation", Err: err}
 	}
-	rep = st.Invariants(scratch, nil)
-	// Registry order, not map order, so the reported pass is deterministic
-	// when several regress at once.
-	for _, p := range check.Passes() {
-		pass := p.Name()
-		n, ok := rep.PerPass[pass]
-		if !ok || n <= base.PerPass[pass] {
-			continue
-		}
-		f, _ := rep.FirstFinding(pass)
+	diff.compute(work, scratch, workValid)
+	rep = st.InvariantsScoped(scratch, nil, base, diff.changedProcs())
+	if pass, f, bad := regressed(scratch, rep, base); bad {
 		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: "folded program raised " + pass + " finding: " + f.Msg}
 	}
-	if f := shadow.verify(work, workRev, scratch, scratchRev, stats); f != nil {
+	if f := shadow.verify(work, workRev, scratch, scratchRev, diff, stats); f != nil {
 		return redirected, true, nil, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
 			Msg: "fold failed shadow verification (" + f.Kind.String() + "): " + f.Msg, Err: f.Err}
 	}

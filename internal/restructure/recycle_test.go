@@ -61,9 +61,7 @@ func checkAdopted(t *testing.T, inputs [][]int64, work *ir.Program, base *check.
 		t.Fatal("adopted revision carries no check baseline or no shadow runs")
 	}
 	fresh := check.AnalyzeInvariants(work)
-	if !reflect.DeepEqual(base.PerPass, fresh.PerPass) {
-		t.Fatalf("carried invariant counts %v, fresh %v", base.PerPass, fresh.PerPass)
-	}
+	assertCounts(t, "carried baseline", base, fresh)
 	if got, want := sccpFacts(work, base.SCCP), sccpFacts(work, fresh.SCCP); got != want {
 		t.Fatal("carried SCCP facts differ from a fresh run on the adopted revision")
 	}
@@ -236,7 +234,7 @@ func TestGatesKeyByRevision(t *testing.T) {
 	p := ir.Clone(decided)
 	g := newCheckGate(p, 1, &stats)
 	o := newShadowOracle(verifyInputs(DriverOptions{}))
-	if f := o.verify(p, 1, ir.Clone(p), 2, &stats); f != nil {
+	if f := o.verify(p, 1, ir.Clone(p), 2, nil, &stats); f != nil {
 		t.Fatalf("identity apply failed: %v", f)
 	}
 	if g.sccpFor(p, 1).BranchOutcome(branch) == pred.Unknown {
@@ -253,7 +251,7 @@ func TestGatesKeyByRevision(t *testing.T) {
 		t.Fatal("check gate recomputed an unchanged revision")
 	}
 	post := ir.Clone(p)
-	if f := o.verify(p, 3, post, 4, &stats); f != nil {
+	if f := o.verify(p, 3, post, 4, nil, &stats); f != nil {
 		t.Fatalf("baseline of the recycled pointer's earlier revision was reused: %v", f)
 	}
 }

@@ -26,22 +26,28 @@ type shadowRun struct {
 // baseline. The pre-apply program of every attempt is the working program,
 // and the working program is always the post-apply program of the last
 // adopted attempt, so the oracle keeps that revision's runs (one per input)
-// and each attempt executes only its post-apply program, decoded once
-// (interp.Prepare) for all inputs. The runs of an attempt that passes are
-// held as pending until the driver adopts that exact revision; a run of
-// the working program happens at most once per revision and only for
-// inputs whose carried run is missing.
+// and decode, and each attempt executes only its post-apply program,
+// decoded once for all inputs. That decode re-decodes only the attempt's
+// diff against the working revision's decode (interp.PrepareFrom), into
+// the storage of a dead decode. The runs and decode of an attempt that
+// passes are held as pending until the driver adopts that exact revision;
+// a run of the working program happens at most once per revision and only
+// for inputs whose carried run is missing.
 //
 // Revisions are keyed by the driver's revision numbers, not by program
 // pointers: the driver recycles dead programs as later scratch clones, so a
 // pointer can come back holding a different program.
 type shadowOracle struct {
 	inputs [][]int64
-	// runs holds one baseline run per input of revision rev, and dec that
-	// revision's decode once a missing run needed it.
+	// runs holds one baseline run per input of revision rev.
 	rev  int
 	runs []shadowRun
-	dec  *interp.Prepared
+	// decs holds two decodes, like storePair: decs[cur] is revision
+	// decRev's (0 for none), the other one the storage the next attempt
+	// decodes into, and after a passing attempt that attempt's decode.
+	decs   [2]*interp.Prepared
+	cur    int
+	decRev int
 	// pendingRev/pending hold the runs of the last attempt that passed,
 	// the baseline of the next revision if the driver adopts it.
 	pendingRev int
@@ -52,20 +58,41 @@ func newShadowOracle(inputs [][]int64) *shadowOracle {
 	return &shadowOracle{inputs: inputs}
 }
 
+// working returns the decode of working revision preRev, decoding it in
+// full when the oracle holds none.
+func (o *shadowOracle) working(pre *ir.Program, preRev int) *interp.Prepared {
+	if o.decRev != preRev {
+		o.decs[o.cur] = interp.PrepareFrom(o.decs[o.cur], nil, pre, nil)
+		o.decRev = preRev
+	}
+	return o.decs[o.cur]
+}
+
 // baseline returns the pre-apply program's run on input i, executing it
 // only when no carried run exists.
 func (o *shadowOracle) baseline(pre *ir.Program, preRev int, i int) shadowRun {
 	if o.rev != preRev {
-		o.rev, o.runs, o.dec = preRev, make([]shadowRun, len(o.inputs)), nil
+		o.rev, o.runs = preRev, make([]shadowRun, len(o.inputs))
 	}
 	if !o.runs[i].done {
-		if o.dec == nil {
-			o.dec = interp.Prepare(pre)
-		}
-		res, err := o.dec.Run(interp.Options{Input: o.inputs[i], MaxSteps: verifyMaxSteps})
+		res, err := o.working(pre, preRev).Run(interp.Options{Input: o.inputs[i], MaxSteps: verifyMaxSteps})
 		o.runs[i] = shadowRun{done: true, res: res, err: err}
 	}
 	return o.runs[i]
+}
+
+// decodePost decodes the post-apply program into the spare storage: the
+// attempt's delta on the working revision's decode, or in full when the
+// diff does not scope.
+func (o *shadowOracle) decodePost(pre *ir.Program, preRev int, post *ir.Program, diff *revDiff) *interp.Prepared {
+	var base *interp.Prepared
+	var changed []ir.NodeID
+	if diff != nil && !diff.all {
+		base, changed = o.working(pre, preRev), diff.nodes
+	}
+	spare := 1 - o.cur
+	o.decs[spare] = interp.PrepareFrom(o.decs[spare], base, post, changed)
+	return o.decs[spare]
 }
 
 // carry turns a passing post-apply run into the next revision's baseline
@@ -85,12 +112,13 @@ func carry(res *interp.Result, err error) shadowRun {
 // optimized program must never execute more operations (§3.2). Fault
 // behaviour must be preserved too — a run that faults must keep faulting,
 // with the same output prefix. The pre-apply side comes from the carried
-// baseline; VerifyRuns counts one comparison per input either way.
-func (o *shadowOracle) verify(pre *ir.Program, preRev int, post *ir.Program, postRev int, stats *DriverStats) *BranchFailure {
+// baseline; VerifyRuns counts one comparison per input either way. diff is
+// the attempt's diff against pre (nil for none), which scopes the decode.
+func (o *shadowOracle) verify(pre *ir.Program, preRev int, post *ir.Program, postRev int, diff *revDiff, stats *DriverStats) *BranchFailure {
 	t0 := time.Now()
 	defer func() { stats.VerifyWall += time.Since(t0) }()
 	o.pendingRev, o.pending = 0, nil
-	postDec := interp.Prepare(post)
+	postDec := o.decodePost(pre, preRev, post, diff)
 	next := make([]shadowRun, len(o.inputs))
 	for i, in := range o.inputs {
 		stats.VerifyRuns++
@@ -137,11 +165,13 @@ func (o *shadowOracle) runsOf(rev int) []shadowRun {
 	return o.runs
 }
 
-// adopt promotes the pending runs to the baseline when the driver commits
-// that revision as the new working program.
+// adopt promotes the pending runs and decode to the baseline when the
+// driver commits that revision as the new working program; the superseded
+// decode's storage becomes the next attempt's.
 func (o *shadowOracle) adopt(rev int) {
 	if o.pendingRev == rev {
-		o.rev, o.runs, o.dec = rev, o.pending, nil
+		o.rev, o.runs = rev, o.pending
+		o.cur, o.decRev = 1-o.cur, rev
 	}
 	o.pendingRev, o.pending = 0, nil
 }
